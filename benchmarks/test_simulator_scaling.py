@@ -1,7 +1,7 @@
 """Benchmark: kernel and model fast paths across scenario scales.
 
 Runs the :mod:`repro.runtime.bench` suites — neighbor-path and
-end-to-end scenario timings at 30/100(/200) nodes, model fit/score
+end-to-end scenario timings at 20/30/100(/200) nodes, model fit/score
 timings — asserting both correctness (the harness itself fails on any
 result divergence between the optimized and reference paths) and a
 conservative speedup floor at the scales the optimization targets.
@@ -47,6 +47,12 @@ def test_simulator_scaling():
     # retries); losing any one optimization layer trips this floor.
     if not QUICK:
         assert by_name["scenario/aodv/200nodes"]["speedup"] >= 3.0, by_name
+
+    # Full-workload floor at the paper's own scale (aodv, 20 nodes): the
+    # dense leg-mirror scan and the batched fan-out must clearly beat the
+    # reference scan over numpy-scalar positions.
+    if not QUICK:
+        assert by_name["scenario/aodv/20nodes"]["speedup"] >= 1.5, by_name
 
     # At every scale the harness has already asserted trace-fingerprint
     # equality between the two modes; spot-check the records are

@@ -120,9 +120,12 @@ class RoutingProtocol(ABC):
     # keyed by the (small-int) flood id, so the hot membership test never
     # allocates or hashes a tuple.  Same membership answers, same purge
     # decisions — ``_seen_count`` tracks the total so the >512 purge
-    # trigger matches the reference dict's ``len()``.  Protocols using
-    # this interface initialise ``_seen_rreqs``, ``_seen_by_origin`` and
-    # ``_seen_count`` in ``__init__``.
+    # trigger matches the reference dict's ``len()``.  Each per-origin
+    # dict is kept in first-seen-time order (marks happen at the
+    # non-decreasing ``sim.now``, and an overwrite re-inserts its key at
+    # the end), so a purge only has to delete each dict's stale prefix.
+    # Protocols using this interface initialise ``_seen_rreqs``,
+    # ``_seen_by_origin`` and ``_seen_count`` in ``__init__``.
 
     _seen_rreqs: dict  # (origin, flood id) -> first-seen time (reference)
     _seen_by_origin: dict  # origin -> {flood id: first-seen time} (fast)
@@ -139,6 +142,8 @@ class RoutingProtocol(ABC):
                 d[rreq_id] = now
                 self._seen_count += 1
             else:
+                # Move the key to the end: dicts stay in time order.
+                del d[rreq_id]
                 d[rreq_id] = now
         else:
             self._seen_rreqs[(origin, rreq_id)] = now
@@ -160,21 +165,28 @@ class RoutingProtocol(ABC):
         """The reference >512-entry purge, on whichever store is active.
 
         Identical forgetting decisions either way: trigger when the total
-        exceeds 512, drop exactly the entries older than 30 s.
+        exceeds 512, drop exactly the entries older than 30 s.  The fast
+        store deletes each per-origin dict's stale prefix, so a purge
+        costs O(origins + dropped) rather than a rebuild of every dict.
         """
         if self.routing_fast:
             if self._seen_count > 512:
                 horizon = now - 30.0
                 seen = self._seen_by_origin
-                total = 0
+                dropped = 0
                 for origin, d in list(seen.items()):
-                    kept = {k: t for k, t in d.items() if t >= horizon}
-                    if kept:
-                        seen[origin] = kept
-                        total += len(kept)
-                    else:
+                    stale = []
+                    for k, t in d.items():
+                        if t >= horizon:
+                            break
+                        stale.append(k)
+                    if len(stale) == len(d):
                         del seen[origin]
-                self._seen_count = total
+                    else:
+                        for k in stale:
+                            del d[k]
+                    dropped += len(stale)
+                self._seen_count -= dropped
         elif len(self._seen_rreqs) > 512:
             horizon = now - 30.0
             self._seen_rreqs = {

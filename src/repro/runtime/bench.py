@@ -314,12 +314,12 @@ def run_simulator_bench(
     ``python -m repro bench --profile``.
     """
     if quick:
-        node_counts = (30, 100)
+        node_counts = (20, 30, 100)
         n_queries = 2_000
         duration = 15.0
         repeats = 2
     else:
-        node_counts = (30, 100, 200)
+        node_counts = (20, 30, 100, 200)
         n_queries = 20_000
         duration = 60.0
         repeats = 3

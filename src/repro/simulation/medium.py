@@ -20,15 +20,16 @@ statistics:
   *route notice count* feature) relies on.
 
 Connectivity queries normally go through a
-:class:`~repro.simulation.spatial.SpatialNeighborIndex` (grid-pruned
-candidates + exact unit-disc post-filter); the naive O(N) scan is kept both
-as the automatic fallback for partially-attached node sets and as the
-reference implementation the trace-equivalence suite compares against
-(``use_index=False`` / ``REPRO_SPATIAL_INDEX=0``).  Below
-``small_n_cutoff`` nodes the env-default resolution also falls back to the
-scan: per-query numpy overhead exceeds a 30-iteration Python loop, which is
-what made small scenarios *slower* with the index.  Either path produces
-bit-identical traces — see DESIGN.md §Performance for the invariants.
+:class:`~repro.simulation.spatial.SpatialNeighborIndex`: below its
+``DENSE_SCAN_CROSSOVER`` (100 nodes) a dense pure-Python scan over the
+mobility model's Python-float leg mirror (5.4 µs vs the grid's 19.4 µs
+per query at 20 nodes), at and above it grid-pruned candidates with an
+exact unit-disc post-filter.  The naive O(N) scan over the numpy-reading
+``position()`` is kept both as the automatic fallback for
+partially-attached node sets and as the reference implementation the
+trace-equivalence suite compares against (``use_index=False`` /
+``REPRO_SPATIAL_INDEX=0``).  Every path produces bit-identical traces —
+see DESIGN.md §Performance for the invariants.
 
 Delivery fan-out likewise has two modes (see DESIGN.md §Event kernel).  The
 reference mode schedules one kernel event per receiver per broadcast.  The
@@ -64,10 +65,6 @@ FailureCallback = Callable[[Packet, int], None]
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 
-#: Below this node count the env-default spatial index resolution falls
-#: back to the naive scan (grid bookkeeping costs more than it saves).
-SMALL_N_CUTOFF = 48
-
 
 def _default_use_index() -> bool:
     """Spatial index default: on, unless ``REPRO_SPATIAL_INDEX=0``."""
@@ -96,22 +93,17 @@ class WirelessMedium:
     retry_delay:
         Time after which a failed unicast is reported to the sender.
     use_index:
-        Route neighbor queries through the spatial grid index.  ``None``
-        (default) reads ``$REPRO_SPATIAL_INDEX`` and additionally bypasses
-        the index below ``small_n_cutoff`` nodes; an explicit ``True`` /
+        Route neighbor queries through the spatial index (a dense leg scan
+        below its node-count crossover, the grid above it).  ``None``
+        (default) reads ``$REPRO_SPATIAL_INDEX``; an explicit ``True`` /
         ``False`` forces the choice.  Traces are bit-identical either way.
     rebuild_quantum:
         Index snapshot lifetime, forwarded to
         :class:`~repro.simulation.spatial.SpatialNeighborIndex`.
     event_batch:
         Use macro-event delivery fan-out.  ``None`` (default) follows the
-        simulator's ``event_batch`` resolution but — like the spatial
-        index — falls back to per-receiver reference scheduling below
-        ``small_n_cutoff`` nodes, where fan-outs are too small to
-        amortize the batch machinery; an explicit ``True`` / ``False``
-        forces the choice.  Traces are bit-identical either way.
-    small_n_cutoff:
-        Node-count floor for the env-default spatial index (see above).
+        simulator's ``event_batch`` resolution; an explicit ``True`` /
+        ``False`` forces the choice.  Traces are bit-identical either way.
     """
 
     def __init__(
@@ -127,7 +119,6 @@ class WirelessMedium:
         use_index: bool | None = None,
         rebuild_quantum: float = 0.25,
         event_batch: bool | None = None,
-        small_n_cutoff: int = SMALL_N_CUTOFF,
     ):
         self.sim = sim
         self.mobility = mobility
@@ -140,28 +131,18 @@ class WirelessMedium:
         self.nodes: list["Node"] = []
         self._busy_until: list[float] = []
         self._promiscuous: set[int] = set()
+        self._promiscuous_list: list[int] = []
         self._promiscuous_ids = _EMPTY_IDS
-        self.small_n_cutoff = small_n_cutoff
         if use_index is None:
-            want_index = _default_use_index() and mobility.n_nodes >= small_n_cutoff
-        else:
-            want_index = bool(use_index)
+            use_index = _default_use_index()
         self.index: SpatialNeighborIndex | None = (
             SpatialNeighborIndex(mobility, tx_range, rebuild_quantum=rebuild_quantum)
-            if want_index
+            if use_index
             else None
         )
-        # Macro fan-out amortizes per-broadcast costs (macro alloc, entry
-        # sort, batch parking) over the receiver count; below the same
-        # small-n cutoff the typical fan-out is too small to pay for it,
-        # so the env-default resolution keeps the per-receiver reference
-        # scheduling (the bucketed run loop still applies — it wins at
-        # every scale).  An explicit ``event_batch=True`` forces batching.
-        if event_batch is None:
-            want_batch = sim.event_batch and mobility.n_nodes >= small_n_cutoff
-        else:
-            want_batch = bool(event_batch)
-        self.event_batch: bool = want_batch
+        self.event_batch: bool = (
+            sim.event_batch if event_batch is None else bool(event_batch)
+        )
         # Per-node dispatch tables: medium delivery jumps straight to the
         # routing protocol's handler once one is installed (see
         # Node.set_routing), skipping the on_receive trampoline.
@@ -205,7 +186,8 @@ class WirelessMedium:
             self._promiscuous.add(node_id)
         else:
             self._promiscuous.discard(node_id)
-        self._promiscuous_ids = np.array(sorted(self._promiscuous), dtype=np.int64)
+        self._promiscuous_list = sorted(self._promiscuous)
+        self._promiscuous_ids = np.array(self._promiscuous_list, dtype=np.int64)
 
     def _note_handlers(
         self,
@@ -462,32 +444,40 @@ class WirelessMedium:
             return
         t = self.sim.now
         mobility = self.mobility
+        index = self.index
         # Draw-order parity with the naive sweep: sender first, then all.
-        x, y = mobility.position(sender, t)
+        x, y = mobility.leg_position(sender, t)
         mobility.advance_all(t)
-        ids = self._promiscuous_ids
-        if ids.size == 0:
-            return
-        # Prune listeners to the grid block around the sender (a strict
-        # superset of the in-range set — DSR marks *every* node
-        # promiscuous, so this is what keeps taps sub-O(N)).
-        block = self.index.candidates_near(x, y, t)
-        if block.size < ids.size:
-            ids = np.intersect1d(ids, block, assume_unique=True)
-        ids = ids[(ids != sender) & (ids != next_hop)]
-        if ids.size == 0:
+        if not self._promiscuous_list:
             return
         # Ascending order, exact unit-disc decisions — identical to the
         # naive sweep's visit order and predicate.
+        if index.dense:
+            bystanders = index.legs_in_range(
+                [i for i in self._promiscuous_list if i != sender and i != next_hop],
+                x, y, t,
+            )
+        else:
+            # Prune listeners to the grid block around the sender (a
+            # strict superset of the in-range set — DSR marks *every* node
+            # promiscuous, so this is what keeps taps sub-O(N)).
+            ids = self._promiscuous_ids
+            block = index.candidates_near(x, y, t)
+            if block.size < ids.size:
+                ids = np.intersect1d(ids, block, assume_unique=True)
+            ids = ids[(ids != sender) & (ids != next_hop)]
+            if ids.size == 0:
+                return
+            bystanders = index.filter_in_range(ids, x, y, t).tolist()
         if self.event_batch:
             overhear = self._overhear_handlers
             schedule_transient = self.sim.schedule_transient
-            for bystander in self.index.filter_in_range(ids, x, y, t).tolist():
+            for bystander in bystanders:
                 schedule_transient(
                     0.001 * rng.random(), overhear[bystander], packet, sender
                 )
         else:
-            for bystander in self.index.filter_in_range(ids, x, y, t).tolist():
+            for bystander in bystanders:
                 self.sim.schedule(
                     rng.uniform(0.0, 0.001),
                     self.nodes[bystander].on_overhear,

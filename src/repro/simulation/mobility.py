@@ -31,6 +31,18 @@ per-node scans:
   scalar :meth:`position` (``frac = (t - depart) / (arrive - depart)``;
   ``x = x0 + frac * (x1 - x0)``), so vectorized coordinates are bit-equal
   to scalar ones.
+
+Leg mirror
+----------
+Reading one node's leg out of the numpy columns costs six numpy-scalar
+reads, which dominates small scenarios that evaluate one position at a
+time.  Each node's current leg is therefore mirrored as one
+``(x0, y0, x1, y1, depart, arrive)`` tuple of Python floats in
+``_legs``; :meth:`_advance` is its only writer.
+:meth:`leg_position` reads the mirror with the same expressions as
+:meth:`position` (IEEE-754 double arithmetic is the same for Python floats
+and numpy float64 scalars), and the spatial index's dense scan reads it
+directly.
 """
 
 from __future__ import annotations
@@ -95,6 +107,8 @@ class RandomWaypointMobility:
         #: while t stays below it.  _advance only ever raises pause times,
         #: so a stale value is conservative (never skips a due advance).
         self._next_wake = 0.0
+        #: Python-float mirror of each node's leg (see module docstring).
+        self._legs: list[tuple[float, float, float, float, float, float]] = []
         for i in range(n_nodes):
             # Draw order (x then y, node by node) matches the historical
             # per-node constructor so seeds reproduce identical layouts.
@@ -104,6 +118,7 @@ class RandomWaypointMobility:
             self._y0[i] = y
             self._x1[i] = x
             self._y1[i] = y
+            self._legs.append((x, y, x, y, 0.0, 0.0))
         #: Bumped whenever positions change other than by time passing
         #: (teleports in :class:`StaticMobility`); spatial indexes watch it.
         self._version = 0
@@ -135,6 +150,7 @@ class RandomWaypointMobility:
             arrive = depart + math.hypot(x1 - x0, y1 - y0) / speed
             self._arrive[node_id] = arrive
             self._pause_until[node_id] = arrive + self.pause_time
+            self._legs[node_id] = (x0, y0, x1, y1, depart, arrive)
 
     def advance_all(self, t: float) -> None:
         """Advance every stale node to ``t``, in ascending node-id order.
@@ -167,6 +183,20 @@ class RandomWaypointMobility:
             float(x0 + frac * (self._x1[node_id] - x0)),
             float(y0 + frac * (self._y1[node_id] - y0)),
         )
+
+    def leg_position(self, node_id: int, t: float) -> tuple[float, float]:
+        """:meth:`position` read from the Python-float leg mirror.
+
+        Bit-equal to :meth:`position` and advances the node the same way:
+        below ``_next_wake`` no node is due, so the advance is skipped.
+        """
+        if t >= self._next_wake:
+            self._advance(node_id, t)
+        x0, y0, x1, y1, depart, arrive = self._legs[node_id]
+        if t >= arrive or arrive == depart:
+            return (x1, y1)
+        frac = (t - depart) / (arrive - depart)
+        return (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
 
     def _interpolate(self, idx, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized position evaluation over ``idx`` (slice or id array).
@@ -265,6 +295,9 @@ class StaticMobility(RandomWaypointMobility):
         self.min_speed = 0.0
         self.pause_time = math.inf
         self._positions = list(positions)
+        # Zero-length legs: the mirror readers return (x1, y1) as given.
+        self._legs = [(x, y, x, y, 0.0, 0.0) for x, y in self._positions]
+        self._next_wake = math.inf
         self._version = 0
         self._pos_cache = None
 
@@ -296,4 +329,6 @@ class StaticMobility(RandomWaypointMobility):
     def move(self, node_id: int, position: tuple[float, float]) -> None:
         """Teleport a node (tests use this to break and form links)."""
         self._positions[node_id] = position
+        x, y = position
+        self._legs[node_id] = (x, y, x, y, 0.0, 0.0)
         self._version += 1

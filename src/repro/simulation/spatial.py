@@ -1,12 +1,21 @@
-"""Spatial neighbor index: a numpy-backed uniform grid over node positions.
+"""Spatial neighbor index: a dense leg scan at small n, a numpy grid above.
 
 The naive :meth:`~repro.simulation.medium.WirelessMedium.neighbors` scan
 computes a Python-level position + distance for every node on every
-transmission — O(N) per query, which makes large scenarios quadratic-ish
-in node count.  This index bins nodes into square cells, prunes each query
-to the candidates in the cell block around the querying node (3x3 blocks
-of reach-sized cells), and finishes with an exact unit-disc check evaluated
-vectorized over the candidates.
+transmission — O(N) per query, each position costing six numpy-scalar
+reads, which makes large scenarios quadratic-ish in node count and small
+ones slow per query.  Above ``DENSE_SCAN_CROSSOVER`` nodes this index bins
+nodes into square cells, prunes each query to the candidates in the cell
+block around the querying node (3x3 blocks of reach-sized cells), and
+finishes with an exact unit-disc check evaluated vectorized over the
+candidates.  That costs a near-constant ~20 µs of numpy work per query,
+while a pure-Python pass over the mobility model's leg mirror (one tuple
+of Python floats per node) costs ~0.23 µs per node: 5.4 µs vs 19.4 µs at
+20 nodes, a tie at 100 (2-vCPU x86_64 host, Python 3.11).  Below the
+crossover the grid is never built and queries scan every leg densely
+with ``position()``'s expressions and the naive scan's literal
+``math.hypot(dx, dy) <= tx_range`` — the same advance order and the
+same ascending ids as the grid path below.
 
 Determinism invariants (see DESIGN.md §Performance):
 
@@ -24,7 +33,8 @@ Determinism invariants (see DESIGN.md §Performance):
 * **Draw-order preservation** — the naive scan lazily advances the query
   node first and then every node in ascending id order, consuming
   waypoint draws from the shared simulator RNG.  :meth:`neighbors`
-  replicates exactly that advance order before touching the grid.
+  replicates exactly that advance order before touching the grid or
+  the legs.
 * **Rebuild quantum** — the grid is rebuilt lazily once its snapshot is
   older than ``rebuild_quantum`` (or the mobility model reports a
   teleport via ``version``).  Staleness is safe because the block reach
@@ -36,7 +46,7 @@ Determinism invariants (see DESIGN.md §Performance):
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -51,15 +61,21 @@ _BOUNDARY_REL = 1e-12
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
+#: Node count below which queries scan every node's leg densely in pure
+#: Python instead of pruning with the numpy grid: the measured per-query
+#: crossover (see module docstring).
+DENSE_SCAN_CROSSOVER = 100
+
 
 class SpatialNeighborIndex:
-    """Uniform-grid index over one mobility model's node positions.
+    """Neighbor index over one mobility model's node positions.
 
     Parameters
     ----------
     mobility:
         Position source; must expose ``positions_at`` / ``positions_of`` /
-        ``advance_all`` / ``version`` (both mobility classes do).
+        ``advance_all`` / ``version`` and the ``leg_position`` /
+        ``_legs`` leg mirror (both mobility classes do).
     tx_range:
         The unit-disc radius queries test against.
     rebuild_quantum:
@@ -105,6 +121,8 @@ class SpatialNeighborIndex:
         #: centre cell; valid for the lifetime of one grid snapshot.
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
         self.rebuilds = 0  #: diagnostic counter
+        #: Below the crossover, queries bypass the grid (never built).
+        self.dense = mobility.n_nodes < DENSE_SCAN_CROSSOVER
 
     # ------------------------------------------------------------------
     def _ensure_built(self, t: float) -> None:
@@ -153,6 +171,33 @@ class SpatialNeighborIndex:
             inside[k] = math.hypot(oxs[k] - x, oys[k] - y) <= self.tx_range
         return ids[inside]
 
+    def legs_in_range(
+        self, ids: Iterable[int], x: float, y: float, t: float
+    ) -> list[int]:
+        """Ids from ``ids`` within ``tx_range`` of ``(x, y)`` at ``t``.
+
+        The dense counterpart of :meth:`filter_in_range`: positions come
+        from the mobility model's Python-float leg mirror (the expressions
+        of ``position()``), tested with the reference scan's literal
+        ``math.hypot(dx, dy) <= tx_range``.  ``ids`` order is preserved.
+        Callers must have advanced every node in ``ids`` to ``t``.
+        """
+        legs = self.mobility._legs
+        tx_range = self.tx_range
+        hypot = math.hypot
+        result = []
+        for other in ids:
+            x0, y0, x1, y1, depart, arrive = legs[other]
+            if t >= arrive or arrive == depart:
+                if hypot(x1 - x, y1 - y) <= tx_range:
+                    result.append(other)
+            else:
+                frac = (t - depart) / (arrive - depart)
+                dx = x0 + frac * (x1 - x0) - x
+                if hypot(dx, y0 + frac * (y1 - y0) - y) <= tx_range:
+                    result.append(other)
+        return result
+
     def neighbors(self, node_id: int, t: float, n_nodes: int | None = None) -> list[int]:
         """Ids within ``tx_range`` of ``node_id`` at ``t``, ascending.
 
@@ -163,8 +208,15 @@ class SpatialNeighborIndex:
         mob = self.mobility
         # Replicate the naive scan's lazy-advance order exactly: query
         # node first, then everyone in ascending id order.
-        x, y = mob.position(node_id, t)
+        x, y = mob.leg_position(node_id, t)
         mob.advance_all(t)
+        if self.dense:
+            n = mob.n_nodes if n_nodes is None else n_nodes
+            result = self.legs_in_range(range(n), x, y, t)
+            if node_id < n:
+                # The query node is at distance 0 of itself: always kept.
+                result.remove(node_id)
+            return result
         candidates = self.candidates_near(x, y, t)
         size = candidates.size
         if size == 0:
@@ -229,9 +281,12 @@ class SpatialNeighborIndex:
         """Exact unit-disc test — identical to the naive medium's.
 
         A pair test needs no grid walk; this exists so the medium can
-        route every connectivity decision through one object.
+        route every connectivity decision through one object.  Reads the
+        leg mirror in ``distance``'s advance order (``a`` then ``b``).
         """
-        return self.mobility.distance(a, b, t) <= self.tx_range
+        xa, ya = self.mobility.leg_position(a, t)
+        xb, yb = self.mobility.leg_position(b, t)
+        return math.hypot(xb - xa, yb - ya) <= self.tx_range
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

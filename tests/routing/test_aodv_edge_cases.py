@@ -84,6 +84,21 @@ class TestDedupAndTtl:
         assert proto._seen_size() < 600
         assert not proto._seen_has(99, 0)
 
+    @pytest.mark.parametrize("routing_fast", [False, True])
+    def test_seen_rreq_overwrite_survives_purge(self, routing_fast):
+        """A re-marked id carries its new time: the purge must keep it."""
+        net = line(2, routing_fast=routing_fast)
+        proto = net.protocols[0]
+        for i in range(600):
+            proto._seen_mark(99, i, -1.0)
+        net.run(20.0)  # purges fire, but nothing is 30 s old yet
+        assert proto._seen_size() == 600
+        proto._seen_mark(99, 0, net.sim.now)  # overwrite the oldest key
+        net.run(11.0 + proto.purge_interval)
+        assert proto._seen_has(99, 0)
+        assert not proto._seen_has(99, 1)
+        assert not proto._seen_has(99, 599)
+
 
 class TestRouteRefresh:
     def test_active_route_stays_alive_under_traffic(self):

@@ -17,7 +17,7 @@ from repro.simulation.engine import Simulator
 from repro.simulation.medium import WirelessMedium
 from repro.simulation.mobility import RandomWaypointMobility, StaticMobility
 from repro.simulation.node import Node
-from repro.simulation.spatial import SpatialNeighborIndex
+from repro.simulation.spatial import DENSE_SCAN_CROSSOVER, SpatialNeighborIndex
 from repro.simulation.stats import TraceRecorder
 
 
@@ -98,6 +98,124 @@ class TestIndexVsNaiveScan:
                 assert medium_a.in_range(a, b) == medium_b.in_range(a, b)
 
 
+class TestLegMirror:
+    """Property: the leg-mirror accessor is position(), bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_leg_position_bit_equal_to_position(self, seed):
+        workload = random.Random(1000 + seed)
+        n = workload.randint(2, 40)
+        scalar = RandomWaypointMobility(n_nodes=n, rng=random.Random(seed))
+        mirror = RandomWaypointMobility(n_nodes=n, rng=random.Random(seed))
+        t = 0.0
+        for _ in range(600):
+            # Mostly small steps (the same-leg fast case), some long jumps
+            # across several legs and pauses.
+            t += workload.choice((0.0, 0.01, 0.3, 7.0, 45.0)) * workload.random()
+            node = workload.randrange(n)
+            x, y = mirror.leg_position(node, t)
+            assert (x, y) == scalar.position(node, t)
+            assert type(x) is float and type(y) is float
+            assert mirror._rng.getstate() == scalar._rng.getstate()
+            if workload.random() < 0.1:
+                mirror.advance_all(t)
+                scalar.advance_all(t)
+
+    def test_mirror_tracks_every_advanced_leg(self):
+        mobility = RandomWaypointMobility(n_nodes=15, rng=random.Random(2))
+        for t in (0.0, 9.5, 33.0, 140.0, 600.0):
+            mobility.advance_all(t)
+            for i in range(15):
+                assert mobility._legs[i] == (
+                    mobility._x0[i], mobility._y0[i], mobility._x1[i],
+                    mobility._y1[i], mobility._depart[i], mobility._arrive[i],
+                )
+
+    def test_static_mobility_mirror_follows_move(self):
+        mobility = StaticMobility([(0.0, 0.0), (100.0, 0.0)])
+        assert mobility.leg_position(1, 5.0) == (100.0, 0.0)
+        mobility.move(1, (30.0, 40.0))
+        assert mobility.leg_position(1, 6.0) == mobility.position(1, 6.0)
+
+
+class TestDenseScan:
+    """Property: the index's queries equal the reference ``_neighbors_scan``.
+
+    Below ``DENSE_SCAN_CROSSOVER`` the index scans the leg mirror densely;
+    at and above it, the grid answers.  Either way a query must return the
+    reference list *and* leave the shared RNG in the reference state.
+    """
+
+    @pytest.mark.parametrize("n_nodes", [2, 12, 20, DENSE_SCAN_CROSSOVER - 1, DENSE_SCAN_CROSSOVER])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference_scan_at_random_times(self, n_nodes, seed):
+        sim_a, _, medium_a = build_stack(n_nodes, seed=seed, use_index=False)
+        sim_b, _, medium_b = build_stack(n_nodes, seed=seed, use_index=True)
+        assert medium_b.index.dense == (n_nodes < DENSE_SCAN_CROSSOVER)
+        workload = random.Random(seed)
+        t = 0.0
+        for step in range(300):
+            t += workload.choice((0.0, 0.002, 0.05, 2.0, 30.0)) * workload.random()
+            node = workload.randrange(n_nodes)
+            sim_a.now = sim_b.now = t
+            expected = medium_a._neighbors_scan(node, t)
+            assert medium_b.neighbors(node) == expected, f"step {step}"
+            assert sim_a.rng.getstate() == sim_b.rng.getstate(), f"step {step}"
+            other = workload.randrange(n_nodes)
+            assert medium_b.in_range(node, other) == medium_a.in_range(node, other)
+            assert sim_a.rng.getstate() == sim_b.rng.getstate(), f"step {step}"
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_teleports_seen_immediately(self, seed):
+        workload = random.Random(seed)
+        n = workload.randint(3, 30)
+        places = [(workload.uniform(0, 800), workload.uniform(0, 800)) for _ in range(n)]
+        sim = Simulator(seed=seed)
+        mobility = StaticMobility(places)
+        medium = WirelessMedium(sim, mobility, use_index=True)
+        recorder = TraceRecorder(n)
+        for i in range(n):
+            Node(i, sim, medium, recorder[i])
+        assert medium.index.dense
+        for step in range(200):
+            sim.now += 0.01
+            if workload.random() < 0.3:
+                mobility.move(
+                    workload.randrange(n),
+                    (workload.uniform(0, 800), workload.uniform(0, 800)),
+                )
+            node = workload.randrange(n)
+            assert medium.neighbors(node) == medium._neighbors_scan(node, sim.now)
+
+    def test_partial_stack_falls_back_to_reference_scan(self, monkeypatch):
+        """A partially attached stack never reaches the dense scan."""
+        sim_a = Simulator(seed=5)
+        sim_b = Simulator(seed=5)
+        stacks = []
+        for sim, use_index in ((sim_a, False), (sim_b, True)):
+            mobility = RandomWaypointMobility(n_nodes=12, rng=sim.rng)
+            medium = WirelessMedium(sim, mobility, use_index=use_index)
+            recorder = TraceRecorder(5)
+            for i in range(5):
+                Node(i, sim, medium, recorder[i])
+            stacks.append(medium)
+        medium_a, medium_b = stacks
+        assert not medium_b._index_usable()
+
+        def no_index_query(*args, **kwargs):
+            raise AssertionError("partial stack queried the index")
+
+        monkeypatch.setattr(medium_b.index, "neighbors", no_index_query)
+        workload = random.Random(7)
+        t = 0.0
+        for _ in range(200):
+            t += workload.uniform(0.0, 20.0)
+            sim_a.now = sim_b.now = t
+            node = workload.randrange(5)
+            assert medium_b.neighbors(node) == medium_a.neighbors(node)
+            assert sim_a.rng.getstate() == sim_b.rng.getstate()
+
+
 class TestFilterInRange:
     def test_boundary_exactness(self):
         """Candidates on the disc boundary use the literal hypot test."""
@@ -121,7 +239,11 @@ class TestFilterInRange:
 
 class TestRebuildPolicy:
     def test_lazy_rebuild_on_quantum(self):
-        mobility = RandomWaypointMobility(n_nodes=10, rng=random.Random(8))
+        # The grid (and its rebuild policy) only serves queries at or
+        # above the dense-scan crossover.
+        mobility = RandomWaypointMobility(
+            n_nodes=DENSE_SCAN_CROSSOVER, rng=random.Random(8)
+        )
         index = SpatialNeighborIndex(mobility, tx_range=250.0, rebuild_quantum=1.0)
         index.neighbors(0, 0.0)
         index.neighbors(1, 0.5)

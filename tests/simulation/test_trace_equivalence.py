@@ -18,12 +18,12 @@ the complete serialized trace via the shared
 digest the benchmark harness asserts in-run.  The 30-node matrix
 additionally runs every mixed mode (all 2^3 = 8 switch combinations) so
 each switch is validated in isolation *and* against every interaction
-with the other two.  Note the index/batch fast paths resolve their env
-default to the reference behaviour below ``SMALL_N_CUTOFF`` (48) nodes —
-at 30 nodes the mode matrix covers the bucketed run loop, the flattened
-handlers and the default-resolution plumbing, while the 64- and 100-node
-tests are the ones that actually drive the grid index and the macro
-fan-out through the batched pre-classification path.
+with the other two.  Every fast path is live at every node count: below
+the spatial index's ``DENSE_SCAN_CROSSOVER`` (100 nodes) neighbour
+queries and promiscuous taps run the dense leg-mirror scan, at and above
+it the numpy grid.  The 20-node rows pin the paper's own scale, the 30-
+and 64-node tests drive the dense scan through the macro fan-out, and
+the 100-node tests are the ones that drive the grid.
 """
 
 import pytest
@@ -101,6 +101,24 @@ def test_30_node_trace_equivalence(protocol, attack, monkeypatch):
     assert optimized.recorder.total_packets() > 0
 
 
+@pytest.mark.parametrize("protocol", ["aodv", "dsr"])
+def test_20_node_trace_equivalence(protocol, monkeypatch):
+    """The paper's 20-node scale under attack: dense scan vs reference scan.
+
+    The black hole's RREQ storm makes these the neighbour-query-heaviest
+    traces per simulated second; DSR adds the dense promiscuous taps.
+    """
+    config = ScenarioConfig(
+        protocol=protocol, n_nodes=20, duration=60.0, max_connections=20, seed=11
+    )
+    attacks = make_attacks("blackhole", 20, 60.0)
+    reference, optimized = run_modes(
+        config, attacks, monkeypatch, (REFERENCE, OPTIMIZED)
+    )
+    assert_equivalent(reference, optimized)
+    assert optimized.recorder.total_packets() > 0
+
+
 @pytest.mark.parametrize(
     "protocol,attack",
     [("aodv", "dropping"), ("dsr", "blackhole"), ("olsr", "dropping")],
@@ -131,8 +149,8 @@ def test_100_node_trace_equivalence(protocol, attack, monkeypatch):
 def test_lossy_medium_equivalence(monkeypatch):
     """Packet loss culls macro-batch entries mid-draw; RNG order must hold.
 
-    64 nodes: above ``SMALL_N_CUTOFF``, so the env-default resolution
-    actually engages the macro fan-out being tested.
+    64 nodes: large enough fan-outs that loss culls several entries of
+    one macro batch.
     """
     config = ScenarioConfig(
         protocol="aodv", n_nodes=64, duration=30.0, max_connections=20,
