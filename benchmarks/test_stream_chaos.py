@@ -3,11 +3,12 @@
 Exercises the durable-streams contract at benchmark scale, on the same
 recorded workload as test_stream_throughput:
 
-* **kill-anywhere resume** — a durable single-stream run is killed at a
-  spread of tick positions across the whole trace; each interrupted run
-  is restored from its checkpoint and replayed to the end, and every
-  resumed run must produce scores and alarms **bit identical** to the
-  uninterrupted baseline.
+* **kill-anywhere resume** — a durable single-stream run (a one-lane
+  fleet through ``run_durable_fleet``, one sampling tick per round) is
+  killed at a spread of tick positions across the whole trace; each
+  interrupted run is restored from its checkpoint and replayed to the
+  end, and every resumed run must produce scores and alarms **bit
+  identical** to the uninterrupted baseline.
 * **fleet chaos** — a fleet run with an injected lane crash, a corrupted
   row, a duplicated row and a dropped row completes without raising,
   quarantines exactly the damaged rows, seals exactly the crashed lane,
@@ -28,8 +29,8 @@ from dataclasses import replace
 import numpy as np
 
 from repro.runtime import RuntimeMetrics, Session
-from repro.stream import OnlineDetector, extractor_for_config
-from repro.stream.durability import run_durable_stream
+from repro.stream import FleetDetector
+from repro.stream.durability import run_durable_fleet
 
 from benchmarks.conftest import BENCH_PLAN, RUNTIME, print_header
 
@@ -62,17 +63,17 @@ def test_kill_anywhere_resume_bit_identical(tmp_path):
     detector = RUNTIME.fitted_detector(PLAN, classifier="c45")
 
     def run(ckpt=None, every=1, resume=None, stop=None):
-        online = OnlineDetector.from_detector(detector, monitor=PLAN.monitor)
-        tap = extractor_for_config(
-            trace.config, periods=PLAN.periods,
-            on_row=online.consume, keep_rows=False,
+        fleet = FleetDetector.from_detector(detector)
+        tap = fleet.add_stream(
+            PLAN.monitor, periods=PLAN.periods,
+            sampling_period=trace.config.sampling_period,
         )
-        _, finished = run_durable_stream(
-            trace, tap, online,
+        _, finished = run_durable_fleet(
+            {"s0": trace}, fleet,
             checkpoint=ckpt, checkpoint_every=every,
-            resume_from=resume, stop_after_ticks=stop,
+            resume_from=resume, stop_after_rounds=stop,
         )
-        return online, finished
+        return fleet.result().streams[tap.name], finished
 
     clean, _ = run()
     n = clean.windows

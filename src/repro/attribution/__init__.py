@@ -23,8 +23,6 @@ scores, alarms and fused timing are bit-identical with it on or off.
 
 from __future__ import annotations
 
-import os
-
 from repro.attribution.attributor import AlarmAttributor, Verdict, fuse_verdicts
 from repro.attribution.changepoint import (
     ChangePoint,
@@ -54,6 +52,7 @@ from repro.attribution.taxonomy import (
     group_shares,
     signed_activity,
 )
+from repro.switches import switch_on
 
 __all__ = [
     "ACTIVITY_DAMPING",
@@ -93,7 +92,7 @@ def attribution_enabled() -> bool:
     consulted at *construction* time, so one process can compare runs by
     flipping the variable between them.
     """
-    return os.environ.get("REPRO_ATTRIBUTION", "1") != "0"
+    return switch_on("REPRO_ATTRIBUTION")
 
 
 def resolve_attributor(model, threshold, attribution) -> AlarmAttributor | None:

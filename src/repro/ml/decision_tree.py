@@ -17,12 +17,12 @@ node's own class distribution (the C4.5 "most likely subtree" fallback).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.ml.base import CategoricalClassifier
+from repro.switches import switch_on
 
 _Z_FOR_CF = {0.25: 0.6744897501960817}  # Phi^{-1}(1 - CF)
 
@@ -228,7 +228,7 @@ class C45Classifier(CategoricalClassifier):
         out-of-range bucket).  Larger cardinalities fall back to the
         reference implementation, and ``REPRO_FAST_FIT=0`` forces it.
         """
-        if os.environ.get("REPRO_FAST_FIT", "1") == "0":
+        if not switch_on("REPRO_FAST_FIT"):
             return False
         if self.n_classes_ >= 8:
             return False

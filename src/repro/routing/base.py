@@ -10,18 +10,18 @@ packets while a route discovery for their destination is in flight.
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 
 from repro.simulation.node import Node
 from repro.simulation.packet import Direction, Packet, PacketType
 from repro.simulation.stats import RouteEventKind
+from repro.switches import switch_on
 
 
 def _default_routing_fast() -> bool:
     """Routing fast-path default: on, unless ``REPRO_ROUTING_FAST=0``."""
-    return os.environ.get("REPRO_ROUTING_FAST", "1") not in ("0", "false", "no")
+    return switch_on("REPRO_ROUTING_FAST")
 
 
 class PacketBuffer:

@@ -720,9 +720,10 @@ def run_stream_chaos_bench(quick: bool = False, seed: int = 0) -> dict:
     Two legs over one small recorded scenario, both asserting the PR 7
     resume contract in-harness before any number is trusted:
 
-    * **stream/resume** — one monitored stream is run clean, then run
-      again with checkpointing, killed abruptly mid-trace, restored from
-      the latest checkpoint and replayed to completion.  The interrupted
+    * **stream/resume** — one monitored stream (a one-lane fleet
+      through the one durable driver) is run clean, then run again with
+      checkpointing, killed abruptly mid-trace, restored from the
+      latest checkpoint and replayed to completion.  The interrupted
       run's scores/alarms must be ``np.array_equal`` to the clean run's
       (kill-anywhere resume contract); a deliberately corrupted copy of
       the checkpoint must fail its restore with the fingerprint
@@ -744,14 +745,11 @@ def run_stream_chaos_bench(quick: bool = False, seed: int = 0) -> dict:
     from repro.core.model import CrossFeatureModel
     from repro.features import extract_features
     from repro.simulation.scenario import ScenarioConfig, run_scenario
-    from repro.stream.detector import OnlineDetector
     from repro.stream.durability import (
         CheckpointError,
-        load_stream_checkpoint,
+        load_fleet_checkpoint,
         run_durable_fleet,
-        run_durable_stream,
     )
-    from repro.stream.extractor import extractor_for_config
     from repro.stream.faults import StreamFaultPlan, apply_checkpoint_fault
     from repro.stream.fleet import FleetDetector
 
@@ -767,16 +765,21 @@ def run_stream_chaos_bench(quick: bool = False, seed: int = 0) -> dict:
     method = "avg_probability"
     threshold = float(np.median(model.normality_score(dataset.X, method)))
 
+    def make_fleet(monitors, **knobs):
+        fleet = FleetDetector(model, threshold, method=method, **knobs)
+        for m in monitors:
+            fleet.add_stream(m, sampling_period=config.sampling_period)
+        return fleet
+
     def stream_pair(ckpt=None, every=4, resume=None, stop=None):
-        online = OnlineDetector(model, threshold, method=method)
-        tap = extractor_for_config(config, monitor=0, on_row=online.consume,
-                                  keep_rows=False)
+        """One durable single-stream run: one lane, one tick per round."""
+        fleet = make_fleet((0,))
         t0 = time.perf_counter()
-        _, finished = run_durable_stream(
-            trace, tap, online, checkpoint=ckpt, checkpoint_every=every,
-            resume_from=resume, stop_after_ticks=stop,
+        _, finished = run_durable_fleet(
+            {"s0": trace}, fleet, checkpoint=ckpt, checkpoint_every=every,
+            resume_from=resume, stop_after_rounds=stop,
         )
-        return online, time.perf_counter() - t0, finished
+        return fleet.result().streams["s0/n0"], time.perf_counter() - t0, finished
 
     entries = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -805,10 +808,8 @@ def run_stream_chaos_bench(quick: bool = False, seed: int = 0) -> dict:
         damaged = Path(tmp) / "damaged.ckpt"
         damaged.write_bytes(ckpt.read_bytes())
         apply_checkpoint_fault(damaged, StreamFaultPlan.parse("ckpt-corrupt:0").specs[0])
-        probe = OnlineDetector(model, threshold, method=method)
-        probe_tap = extractor_for_config(config, monitor=0, on_row=probe.consume)
         try:
-            load_stream_checkpoint(damaged, probe_tap, probe)
+            load_fleet_checkpoint(damaged, make_fleet((0,)))
         except CheckpointError as exc:
             if "fingerprint mismatch" not in str(exc):
                 raise AssertionError(
@@ -835,26 +836,22 @@ def run_stream_chaos_bench(quick: bool = False, seed: int = 0) -> dict:
             "drop-row:s0/n3:1"
         )
 
-        def make_fleet(faults):
-            fleet = FleetDetector(
-                model, threshold, method=method,
-                row_policy="quarantine", stall_timeout=4 * config.sampling_period,
-                faults=faults,
+        def chaos_fleet_with(faults):
+            return make_fleet(
+                monitors, row_policy="quarantine",
+                stall_timeout=4 * config.sampling_period, faults=faults,
             )
-            for m in monitors:
-                fleet.add_stream(m, sampling_period=config.sampling_period)
-            return fleet
 
-        clean_fleet = make_fleet(None)
+        clean_fleet = chaos_fleet_with(None)
         run_durable_fleet({"s0": trace}, clean_fleet)
 
-        chaos_fleet = make_fleet(plan)
+        chaos_fleet = chaos_fleet_with(plan)
         t0 = time.perf_counter()
         run_durable_fleet({"s0": trace}, chaos_fleet)
         chaos_s = time.perf_counter() - t0
 
         fckpt = Path(tmp) / "fleet.ckpt"
-        killed_fleet = make_fleet(plan)
+        killed_fleet = chaos_fleet_with(plan)
         t0 = time.perf_counter()
         _, finished = run_durable_fleet(
             {"s0": trace}, killed_fleet, checkpoint=fckpt, checkpoint_every=2,
@@ -862,7 +859,7 @@ def run_stream_chaos_bench(quick: bool = False, seed: int = 0) -> dict:
         )
         if finished or not fckpt.exists():
             raise AssertionError("kill switch did not interrupt the fleet run")
-        resumed_fleet = make_fleet(plan)
+        resumed_fleet = chaos_fleet_with(plan)
         _, finished = run_durable_fleet(
             {"s0": trace}, resumed_fleet, resume_from=fckpt,
         )

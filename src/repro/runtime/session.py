@@ -476,15 +476,15 @@ class Session:
     ) -> "StreamResult":
         """Online detection: train offline, then score a *live* scenario.
 
-        Trains (or reuses) the plan's detector via
-        :meth:`fitted_detector` — the training/calibration traces go
-        through the cache + executor as usual — then runs ONE fresh
-        scenario with a :class:`~repro.stream.StreamingExtractor` tap
-        wired into the monitor's recorder, scoring every sampling window
-        the moment it closes and raising :class:`~repro.stream.Alarm`
-        events (surfaced as ``"alarm"`` metrics events, so the CLI can
-        print them live).  Per-window features and scores are
-        bit-identical to the batch pipeline over the same trace.
+        The one-lane case of :meth:`fleet_detect`: trains (or reuses) the
+        plan's detector via :meth:`fitted_detector`, then runs ONE fresh
+        scenario with a single fleet lane named ``n<monitor>`` tapping
+        the monitor's recorder, scoring every sampling window the moment
+        it closes and raising :class:`~repro.stream.Alarm` events
+        (surfaced as ``"alarm"`` metrics events, so the CLI can print
+        them live).  Per-window features and scores are bit-identical to
+        the batch pipeline over the same trace.  Returns the lane's
+        :class:`~repro.stream.StreamResult`.
 
         Parameters
         ----------
@@ -505,128 +505,32 @@ class Session:
             fragments and each verdict is counted via
             :meth:`RuntimeMetrics.record_verdict` (scores and alarm
             decisions are unchanged).
-        checkpoint, checkpoint_every, resume_from:
-            Durable-run knobs (see :mod:`repro.stream.durability`):
-            ``checkpoint`` snapshots the full streaming state every
-            ``checkpoint_every`` sampling ticks; ``resume_from``
-            restores such a snapshot and continues, with scores and
-            alarms bit-identical to the uninterrupted run.
-        stream_faults:
-            A :class:`~repro.stream.faults.StreamFaultPlan` (or its
-            mini-language string) of injected row / crash / checkpoint
-            faults — the chaos-testing path.
-
-        A plain live run (no durability knobs) bypasses the artifact
-        cache: taps consume events as they happen, so the trace is
-        simulated fresh (timed as the ``stream`` stage).  A *durable*
-        run — any of ``checkpoint`` / ``resume_from`` /
-        ``stream_faults`` set — instead records (or loads) the trace
-        through the cache + executor and replays it, because the resume
-        contract is anchored in the replay's deterministic dispatch
-        order (the PR 4 live==replay contract keeps the scores
-        bit-identical either way).  Ground-truth labels are attached
-        post hoc from the completed trace under the plan's label policy.
+        checkpoint, checkpoint_every, resume_from, stream_faults:
+            Durable-run and chaos knobs, as in :meth:`fleet_detect`;
+            with one lane a checkpoint round is one sampling tick, and
+            ``stream_faults`` clauses target the lane ``n<monitor>``.
+            A single stream has no consecutive-fault breaker and emits
+            no fused-alarm, fleet-batch or lane-seal events.
         """
-        import numpy as np
-
-        from repro.simulation.scenario import run_scenario
-        from repro.stream.detector import OnlineDetector
-        from repro.stream.durability import run_durable_stream
-        from repro.stream.extractor import extractor_for_config
-        from repro.stream.faults import RowFaultInjector, StreamFaultPlan
-
-        detector = self.fitted_detector(
-            plan,
-            classifier=classifier,
-            method=method,
-            false_alarm_rate=false_alarm_rate,
-            max_models=max_models,
-            n_buckets=n_buckets,
-            n_jobs=n_jobs,
-        )
+        from repro.stream.config import NO_FAULT_BREAKER
 
         monitor = plan.monitor if monitor is None else int(monitor)
         if monitor == plan.attacker:
             raise ValueError("monitor must differ from the attacker")
-        warmup = plan.warmup if warmup is None else float(warmup)
         if seed is None:
             seed = plan.attack_seeds[0] if attack else plan.normal_seeds[0]
-        config = plan.scenario_config(seed)
-        attacks = plan.build_attacks() if attack else []
-        if isinstance(stream_faults, str):
-            stream_faults = StreamFaultPlan.parse(stream_faults)
-        durable = (
-            checkpoint is not None
-            or resume_from is not None
-            or stream_faults is not None
+        result = self._detect_lanes(
+            plan, (seed,), (monitor,), single=True, attack=attack, warmup=warmup,
+            training=dict(classifier=classifier, method=method,
+                          false_alarm_rate=false_alarm_rate, max_models=max_models,
+                          n_buckets=n_buckets, n_jobs=n_jobs),
+            checkpoint=checkpoint, checkpoint_every=checkpoint_every,
+            resume_from=resume_from, stream_faults=stream_faults,
+            on_alarm=on_alarm, on_fused=None, threshold=threshold,
+            row_policy=row_policy, attribution=attribution,
+            max_consecutive_faults=NO_FAULT_BREAKER,
         )
-
-        def relay(alarm: "Alarm") -> None:
-            label = (
-                f"window t={alarm.time:g}s score={alarm.score:.4f} "
-                f"< {alarm.threshold:.4f}"
-            )
-            if alarm.verdict is not None:
-                label += f" {alarm.verdict.summary()}"
-                self.metrics.record_verdict(
-                    f"t={alarm.time:g}s {alarm.verdict.summary()}"
-                )
-            self.metrics.record_alarm(label, alarm.latency_s)
-            if on_alarm is not None:
-                on_alarm(alarm)
-
-        def relay_fault(fault: "StreamFault") -> None:
-            self.metrics.record_stream_fault(
-                f"{fault.stream or f'n{monitor}'} {fault.kind} "
-                f"row {fault.index} t={fault.time:g}: {fault.detail}"
-            )
-
-        online = OnlineDetector.from_detector(
-            detector, threshold=threshold, monitor=monitor, on_alarm=relay,
-            row_policy=row_policy, on_fault=relay_fault,
-            attribution=attribution,
-        )
-        injector = (
-            RowFaultInjector(stream_faults, f"n{monitor}", deliver=online.consume)
-            if stream_faults else None
-        )
-        tap = extractor_for_config(
-            config,
-            monitor=monitor,
-            periods=plan.periods,
-            warmup=warmup,
-            on_row=injector if injector is not None else online.consume,
-            keep_rows=False,
-        )
-        if durable:
-            trace = self.trace(config, attacks, label=f"stream[{seed}]")
-            with self._stage("stream") as timer:
-                run_durable_stream(
-                    trace,
-                    tap,
-                    online,
-                    injector,
-                    checkpoint=checkpoint,
-                    checkpoint_every=checkpoint_every,
-                    resume_from=resume_from,
-                    faults=stream_faults,
-                    on_checkpoint=lambda p: self.metrics.record_checkpoint(str(p)),
-                    on_restore=lambda p: self.metrics.record_restore(str(p)),
-                )
-        else:
-            with self._stage("stream") as timer:
-                trace = run_scenario(config, attacks=attacks, taps=[tap])
-        elapsed = timer.elapsed
-
-        ticks = np.asarray(trace.tick_times, dtype=float)
-        labels = np.asarray(trace.window_labels(plan.label_policy), dtype=bool)
-        if warmup > 0:
-            labels = labels[ticks >= warmup]
-        if len(labels) != len(online.scores):
-            # Quarantined / dropped / crashed rows leave fewer scored
-            # windows than trace ticks; ground truth no longer aligns.
-            labels = np.zeros(len(online.scores), dtype=bool)
-        return online.result(labels=labels, elapsed_s=elapsed)
+        return result.streams[f"n{monitor}"]
 
     def fleet_detect(
         self,
@@ -658,8 +562,7 @@ class Session:
 
         Trains (or reuses) the plan's detector via
         :meth:`fitted_detector`, registers one streaming lane per
-        (scenario, monitor) through
-        :meth:`~repro.stream.FleetDetector.from_session`, then runs one
+        (scenario, monitor), named ``s<k>/n<monitor>``, then runs one
         fresh scenario per seed with all of that scenario's taps riding
         it.  Windows closing on the same tick — across every monitored
         node and every scenario — are scored in one vectorized batch;
@@ -699,37 +602,88 @@ class Session:
             ``"duplicate_seal"`` metrics events and ride the
             :class:`~repro.stream.FleetResult`.
         checkpoint, checkpoint_every, resume_from:
-            Durable-run knobs (see :mod:`repro.stream.durability`).
+            Durable-run knobs (see :mod:`repro.stream.durability`):
+            ``checkpoint`` snapshots the full fleet state every
+            ``checkpoint_every`` lockstep rounds; ``resume_from``
+            restores such a snapshot and continues, with scores and
+            alarms bit-identical to the uninterrupted run.
         stream_faults:
             Injected chaos — a :class:`~repro.stream.faults.StreamFaultPlan`
             or its mini-language string.
 
-        Plain live runs bypass the artifact cache (timed as the
-        ``fleet`` stage); durable runs (any of ``checkpoint`` /
-        ``resume_from`` / ``stream_faults`` set) record the traces
-        through the cache and replay them round-robin (see
-        :func:`~repro.stream.durability.run_durable_fleet`).
-        Ground-truth labels are attached post hoc per scenario under the
-        plan's label policy.
+        Plain live runs simulate fresh, bypassing the artifact cache
+        (timed as the ``fleet`` stage); durable runs (any of
+        ``checkpoint`` / ``resume_from`` / ``stream_faults`` set) record
+        the traces through the cache and replay them round-robin (see
+        :func:`~repro.stream.durability.run_durable_fleet`) — live ==
+        replay keeps the scores bit-identical either way.  Ground-truth
+        labels are attached post hoc under the plan's label policy.
+        """
+        from repro.stream.config import DEFAULT_MAX_FAULTS
+
+        if seeds is None:
+            seeds = (plan.attack_seeds[0],) if attack else (plan.normal_seeds[0],)
+        if monitors is None:
+            monitors = tuple(m for m in range(plan.n_nodes) if m != plan.attacker)
+        if max_consecutive_faults is None:
+            max_consecutive_faults = DEFAULT_MAX_FAULTS
+        return self._detect_lanes(
+            plan, tuple(seeds), tuple(monitors), single=False, attack=attack,
+            warmup=warmup,
+            training=dict(classifier=classifier, method=method,
+                          false_alarm_rate=false_alarm_rate, max_models=max_models,
+                          n_buckets=n_buckets, n_jobs=n_jobs),
+            checkpoint=checkpoint, checkpoint_every=checkpoint_every,
+            resume_from=resume_from, stream_faults=stream_faults,
+            on_alarm=on_alarm, on_fused=on_fused, threshold=threshold,
+            quorum=quorum, row_policy=row_policy, attribution=attribution,
+            max_consecutive_faults=max_consecutive_faults,
+            stall_timeout=stall_timeout,
+        )
+
+    def _detect_lanes(
+        self,
+        plan: ExperimentPlan,
+        seeds: tuple[int, ...],
+        monitors: tuple[int, ...],
+        single: bool,
+        attack: bool,
+        warmup: float | None,
+        training: dict,
+        checkpoint: "str | os.PathLike | None",
+        checkpoint_every: int | None,
+        resume_from: "str | os.PathLike | None",
+        stream_faults: "StreamFaultPlan | str | None",
+        on_alarm: "Callable[[Alarm], None] | None",
+        on_fused: "Callable[[FleetAlarm], None] | None",
+        **fleet_knobs,
+    ) -> "FleetResult":
+        """The one streaming driver behind both public entry points.
+
+        Trains, registers one lane per (scenario ``s<k>``, monitor),
+        relays alarms / faults (fleets also fused alarms, batches and
+        seals) into the metrics, runs live or replays durably, and
+        labels every lane whose scored windows still align with the
+        trace's ticks (quarantined, dropped or crashed rows leave
+        fewer; those lanes stay all-normal).  ``single`` names the one
+        lane ``n<monitor>`` and keeps the ``stream`` stage and labels.
         """
         import numpy as np
 
         from repro.simulation.scenario import run_scenario
-        from repro.stream.config import DEFAULT_MAX_FAULTS
         from repro.stream.durability import run_durable_fleet
         from repro.stream.faults import StreamFaultPlan
         from repro.stream.fleet import FleetDetector
 
         def relay_alarm(alarm: "Alarm") -> None:
+            at = f"t={alarm.time:g}s" if single else f"{alarm.stream} t={alarm.time:g}s"
             label = (
-                f"{alarm.stream} t={alarm.time:g}s score={alarm.score:.4f} "
+                f"{'window ' if single else ''}{at} score={alarm.score:.4f} "
                 f"< {alarm.threshold:.4f}"
             )
             if alarm.verdict is not None:
                 label += f" {alarm.verdict.summary()}"
-                self.metrics.record_verdict(
-                    f"{alarm.stream} t={alarm.time:g}s {alarm.verdict.summary()}"
-                )
+                self.metrics.record_verdict(f"{at} {alarm.verdict.summary()}")
             self.metrics.record_alarm(label, alarm.latency_s)
             if on_alarm is not None:
                 on_alarm(alarm)
@@ -761,10 +715,6 @@ class Session:
             else:
                 self.metrics.record_lane_sealed(f"{name}: {reason}")
 
-        if seeds is None:
-            seeds = (plan.attack_seeds[0],) if attack else (plan.normal_seeds[0],)
-        seeds = tuple(seeds)
-        scenario_names = tuple(f"s{k}" for k in range(len(seeds)))
         warmup = plan.warmup if warmup is None else float(warmup)
         if isinstance(stream_faults, str):
             stream_faults = StreamFaultPlan.parse(stream_faults)
@@ -773,50 +723,39 @@ class Session:
             or resume_from is not None
             or stream_faults is not None
         )
-
-        fleet = FleetDetector.from_session(
-            self,
-            plan,
-            monitors=monitors,
-            scenarios=scenario_names,
-            warmup=warmup,
-            threshold=threshold,
-            quorum=quorum,
-            classifier=classifier,
-            method=method,
-            false_alarm_rate=false_alarm_rate,
-            max_models=max_models,
-            n_buckets=n_buckets,
-            n_jobs=n_jobs,
+        fleet = FleetDetector.from_detector(
+            self.fitted_detector(plan, **training),
             on_alarm=relay_alarm,
-            on_fused=relay_fused,
-            on_batch=self.metrics.record_fleet_batch,
-            row_policy=row_policy,
-            max_consecutive_faults=(
-                DEFAULT_MAX_FAULTS if max_consecutive_faults is None
-                else max_consecutive_faults
-            ),
-            stall_timeout=stall_timeout,
-            faults=stream_faults,
+            on_fused=None if single else relay_fused,
+            on_batch=None if single else self.metrics.record_fleet_batch,
             on_fault=relay_fault,
-            on_seal=relay_seal,
-            attribution=attribution,
+            on_seal=None if single else relay_seal,
+            faults=stream_faults,
+            **fleet_knobs,
         )
+        scenarios = {f"s{k}": seed for k, seed in enumerate(seeds)}
+        sampling_period = plan.scenario_config(plan.train_seeds[0]).sampling_period
+        for scenario in scenarios:
+            for monitor in monitors:
+                fleet.add_stream(
+                    monitor,
+                    scenario=scenario,
+                    periods=plan.periods,
+                    sampling_period=sampling_period,
+                    warmup=warmup,
+                    name=f"n{monitor}" if single else None,
+                )
 
+        stage = "stream" if single else "fleet"
         attacks = plan.build_attacks() if attack else []
-        labels: dict[str, np.ndarray] = {}
-
-        def scenario_truth(trace) -> np.ndarray:
-            ticks = np.asarray(trace.tick_times, dtype=float)
-            truth = np.asarray(trace.window_labels(plan.label_policy), dtype=bool)
-            return truth[ticks >= warmup] if warmup > 0 else truth
-
+        traces: dict[str, "SimulationTrace"] = {}
         if durable:
-            traces: dict[str, "SimulationTrace"] = {}
-            for name, seed in zip(scenario_names, seeds):
-                config = plan.scenario_config(seed)
-                traces[name] = self.trace(config, attacks, label=f"fleet[{name}]")
-            with self._stage("fleet") as timer:
+            for name, seed in scenarios.items():
+                traces[name] = self.trace(
+                    plan.scenario_config(seed), attacks,
+                    label=f"stream[{seed}]" if single else f"fleet[{name}]",
+                )
+            with self._stage(stage) as timer:
                 run_durable_fleet(
                     traces,
                     fleet,
@@ -827,29 +766,26 @@ class Session:
                     on_checkpoint=lambda r: self.metrics.record_checkpoint(str(r)),
                     on_restore=lambda r: self.metrics.record_restore(str(r)),
                 )
-            for name, trace in traces.items():
-                truth = scenario_truth(trace)
-                for tap in fleet.taps(name):
-                    labels[tap.name] = truth
         else:
-            with self._stage("fleet") as timer:
-                for name, seed in zip(scenario_names, seeds):
-                    config = plan.scenario_config(seed)
-                    taps = fleet.taps(name)
-                    trace = run_scenario(config, attacks=attacks, taps=taps)
-                    truth = scenario_truth(trace)
-                    for tap in taps:
-                        labels[tap.name] = truth
+            with self._stage(stage) as timer:
+                for name, seed in scenarios.items():
+                    traces[name] = run_scenario(
+                        plan.scenario_config(seed), attacks=attacks,
+                        taps=fleet.taps(name),
+                    )
                 fleet.finish()
-        elapsed = timer.elapsed
-        # Lanes that crashed, were sealed or quarantined rows hold fewer
-        # scored windows than trace ticks; drop misaligned ground truth.
-        for name, lane_labels in list(labels.items()):
-            stream_result = fleet._lanes.get(name)
-            if stream_result is not None and \
-                    len(lane_labels) != len(stream_result.scores):
-                del labels[name]
-        return fleet.result(labels=labels, elapsed_s=elapsed)
+
+        result = fleet.result(elapsed_s=timer.elapsed)
+        for name, trace in traces.items():
+            ticks = np.asarray(trace.tick_times, dtype=float)
+            truth = np.asarray(trace.window_labels(plan.label_policy), dtype=bool)
+            if warmup > 0:
+                truth = truth[ticks >= warmup]
+            for tap in fleet.taps(name):
+                lane = result.streams[tap.name]
+                if len(truth) == lane.windows:
+                    lane.labels = truth
+        return result
 
     def sweep(
         self,

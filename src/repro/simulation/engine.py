@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import gc
 import heapq
-import os
 import random
 from bisect import insort
 from typing import Any, Callable
+
+from repro.switches import switch_on
 
 _NO_ARGS: tuple = ()
 
@@ -49,7 +50,7 @@ _EVENT_POOL_CAP = 512
 
 def _default_event_batch() -> bool:
     """Batched kernel default: on, unless ``REPRO_EVENT_BATCH=0``."""
-    return os.environ.get("REPRO_EVENT_BATCH", "1") not in ("0", "false", "no")
+    return switch_on("REPRO_EVENT_BATCH")
 
 
 class Event:

@@ -48,7 +48,6 @@ construction.
 from __future__ import annotations
 
 import math
-import os
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -57,6 +56,7 @@ from repro.simulation.engine import Simulator
 from repro.simulation.mobility import RandomWaypointMobility
 from repro.simulation.packet import Packet
 from repro.simulation.spatial import SpatialNeighborIndex
+from repro.switches import switch_on
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.node import Node
@@ -68,7 +68,7 @@ _EMPTY_IDS = np.empty(0, dtype=np.int64)
 
 def _default_use_index() -> bool:
     """Spatial index default: on, unless ``REPRO_SPATIAL_INDEX=0``."""
-    return os.environ.get("REPRO_SPATIAL_INDEX", "1") not in ("0", "false", "no")
+    return switch_on("REPRO_SPATIAL_INDEX")
 
 
 class WirelessMedium:

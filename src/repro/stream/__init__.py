@@ -19,19 +19,25 @@ network-level :class:`FleetAlarm` verdicts under a configurable quorum
 policy, and every construction surface shares the keywords documented in
 :mod:`repro.stream.config`.
 
+Watching one node is the one-lane case of watching many: an
+:class:`OnlineDetector` is a thin adapter over a one-lane
+:class:`FleetDetector`, and ``Session.stream_detect`` runs the same
+fleet driver as ``Session.fleet_detect`` with a single lane.
+
 The contract: for any scenario, the streamed per-window feature rows and
 scores are **bit-identical** to the batch
 ``extract_features`` → ``CrossFeatureModel.normality_score`` path over
 the completed trace — and a fleet run is bit-identical to N independent
-:class:`OnlineDetector` runs (asserted end to end by ``tests/stream/``).
+one-lane runs (asserted end to end by ``tests/stream/``).
 
-Long-lived runs are *durable*: the full streaming state checkpoints to a
-fingerprinted file (:mod:`repro.stream.durability`) and a run killed at
-any tick restores + replays to bit-identical results; degraded input is
-governed by a ``row_policy`` (quarantine late / duplicate / NaN /
-out-of-range rows as typed :class:`StreamFault` records instead of
-raising), and :mod:`repro.stream.faults` injects deterministic row /
-lane-crash / checkpoint faults for chaos testing.
+Long-lived runs are *durable*: the full fleet state checkpoints to one
+fingerprinted file kind and resumes through one driver
+(:mod:`repro.stream.durability`); a run killed at any tick restores +
+replays to bit-identical results.  Degraded input is governed by a
+``row_policy`` (quarantine late / duplicate / NaN / out-of-range rows as
+typed :class:`StreamFault` records instead of raising), and
+:mod:`repro.stream.faults` injects deterministic row / lane-crash /
+checkpoint faults for chaos testing.
 
 Usage::
 
@@ -65,10 +71,8 @@ from repro.stream.detector import Alarm, OnlineDetector, StreamResult
 from repro.stream.durability import (
     CheckpointError,
     load_fleet_checkpoint,
-    load_stream_checkpoint,
     read_checkpoint,
     save_fleet_checkpoint,
-    save_stream_checkpoint,
     write_checkpoint,
 )
 from repro.stream.extractor import StreamingExtractor, WindowRow, extractor_for_config
@@ -101,13 +105,11 @@ __all__ = [
     "WindowRow",
     "extractor_for_config",
     "load_fleet_checkpoint",
-    "load_stream_checkpoint",
     "needed_votes",
     "read_checkpoint",
     "replay_trace",
     "resolve_threshold",
     "save_fleet_checkpoint",
-    "save_stream_checkpoint",
     "validate_quorum",
     "validate_row_policy",
     "write_checkpoint",

@@ -41,7 +41,8 @@ asserts the symmetry by introspection):
 ``max_consecutive_faults`` : int
     Quarantine-mode circuit breaker (:data:`DEFAULT_MAX_FAULTS`): a
     fleet lane exceeding this many *consecutive* quarantined rows is
-    auto-sealed with reason ``"faulted"``.
+    auto-sealed with reason ``"faulted"``.  Single-stream detection
+    runs without it (:data:`NO_FAULT_BREAKER`).
 ``attribution`` : bool
     Attach a typed :class:`~repro.attribution.Verdict` to every alarm
     (anomaly class, culprit features, CUSUM onset) and a fused verdict
@@ -67,6 +68,7 @@ Durable-run knobs (``checkpoint`` / ``checkpoint_every`` /
 from __future__ import annotations
 
 import math
+import sys
 
 #: Default observed node for single-stream detection.
 DEFAULT_MONITOR = 0
@@ -87,8 +89,12 @@ DEFAULT_ROW_POLICY = "strict"
 #: is auto-sealed with reason ``"faulted"``.
 DEFAULT_MAX_FAULTS = 5
 
+#: The breaker bound single-stream detection runs with: never trips,
+#: because sealing the only lane would end detection altogether.
+NO_FAULT_BREAKER = sys.maxsize
+
 #: Default checkpoint cadence for durable runs: snapshot every N
-#: dispatched sampling ticks.
+#: lockstep rounds (one sampling tick per lane each).
 DEFAULT_CHECKPOINT_EVERY = 16
 
 #: Default attribution policy: plain (untyped) alarms, as before PR 9.

@@ -8,6 +8,11 @@ score falls below the threshold — the deployment posture the paper
 frames (an IDS watching a live node), instead of scoring a finished
 trace after the fact.
 
+Watching one node is the one-lane case of watching many: the detector
+is a thin adapter over a :class:`~repro.stream.fleet.FleetDetector` with
+one externally fed lane named ``""``, whose row policy, attribution and
+snapshots it uses unchanged.
+
 Scoring one row at a time is bit-identical to scoring the batch matrix:
 every step of :meth:`CrossFeatureModel.normality_score` — discretizer
 transform, sub-model tree walk, per-row probability lookup and the
@@ -18,9 +23,9 @@ suite asserts this end to end.
 
 from __future__ import annotations
 
-import time as _time
-from dataclasses import dataclass, field
-from typing import Callable
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -29,10 +34,17 @@ from repro.core.model import CrossFeatureDetector, CrossFeatureModel
 from repro.stream.config import (
     DEFAULT_ATTRIBUTION,
     DEFAULT_ROW_POLICY,
-    validate_row_policy,
+    NO_FAULT_BREAKER,
+    resolve_threshold,
 )
 from repro.stream.extractor import WindowRow
 from repro.stream.faults import StreamFault
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.stream.fleet import FleetDetector
+
+#: Lane name of the single stream (alarms and faults carry ``stream=""``).
+_LANE = ""
 
 
 @dataclass(frozen=True)
@@ -120,10 +132,11 @@ class OnlineDetector:
         Callback invoked with each :class:`Alarm` as it fires.
     row_policy:
         Degraded-input policy (see :mod:`repro.stream.config`):
-        ``"strict"`` trusts the extractor and scores every row as
-        before; ``"quarantine"`` validates each row and routes late,
-        duplicate, NaN-bearing or out-of-range ones to
-        ``fault_records`` instead of scoring them.
+        ``"strict"`` trusts the extractor and raises on a window at or
+        before the last scored one; ``"quarantine"`` validates each row
+        and routes late, duplicate, NaN-bearing or out-of-range ones to
+        ``fault_records`` instead of scoring them.  A single stream has
+        no consecutive-fault breaker: tripping it would end detection.
     on_fault:
         Callback invoked with each quarantined
         :class:`~repro.stream.faults.StreamFault`.
@@ -146,22 +159,23 @@ class OnlineDetector:
         on_fault: Callable[[StreamFault], None] | None = None,
         attribution: AlarmAttributor | bool = DEFAULT_ATTRIBUTION,
     ):
-        if model.discretizer is None:
-            raise ValueError("model must be fitted before online detection")
+        from repro.stream.fleet import FleetDetector
+
+        self._fleet: FleetDetector = FleetDetector(
+            model, threshold, method=method, on_alarm=on_alarm,
+            row_policy=row_policy, max_consecutive_faults=NO_FAULT_BREAKER,
+            on_fault=on_fault,
+        )
+        self._fleet.attach(_LANE, monitor=monitor)
+        self._lane = self._fleet._lanes[_LANE]
         self.model = model
-        self.threshold = float(threshold)
+        self.threshold = self._fleet.threshold
         self.method = method
         self.monitor = monitor
-        self.on_alarm = on_alarm
-        self.row_policy = validate_row_policy(row_policy)
-        self.on_fault = on_fault
+        self.row_policy = self._fleet.row_policy
         self.attribution = resolve_attributor(model, self.threshold, attribution)
-        self.times: list[float] = []
-        self.scores: list[float] = []
-        self.latencies: list[float] = []
-        self.alarms: list[Alarm] = []
-        self.fault_records: list[StreamFault] = []
-        self._last_index = -1
+        if self.attribution is not None:
+            self._fleet._attributors[_LANE] = self.attribution
 
     @classmethod
     def from_detector(
@@ -180,10 +194,6 @@ class OnlineDetector:
         ``threshold_`` — the shared construction rule documented in
         :mod:`repro.stream.config`.
         """
-        from repro.stream.config import resolve_threshold
-
-        if detector.threshold_ is None and threshold is None:
-            raise ValueError("detector must be fitted before online detection")
         return cls(
             model=detector.model,
             threshold=resolve_threshold(detector, threshold),
@@ -196,87 +206,59 @@ class OnlineDetector:
         )
 
     # ------------------------------------------------------------------
+    # Run state (the lane's lists; restore replaces them)
+    # ------------------------------------------------------------------
+    @property
+    def times(self) -> list[float]:
+        """Window end times scored so far."""
+        return self._lane.times
+
+    @property
+    def scores(self) -> list[float]:
+        """Normality scores so far, one per scored window."""
+        return self._lane.scores
+
+    @property
+    def latencies(self) -> list[float]:
+        """Wall-clock scoring seconds per scored window."""
+        return self._lane.latencies
+
+    @property
+    def alarms(self) -> list[Alarm]:
+        """Alarms raised so far."""
+        return self._lane.alarms
+
+    @property
+    def fault_records(self) -> list[StreamFault]:
+        """Quarantined rows so far (always empty under ``strict``)."""
+        return self._fleet.fault_records
+
     @property
     def windows(self) -> int:
         """Windows scored so far."""
-        return len(self.scores)
+        return len(self._lane.scores)
 
     @property
     def quarantined(self) -> int:
         """Degraded rows quarantined so far (always 0 under ``strict``)."""
-        return len(self.fault_records)
-
-    def _classify_row(self, row: WindowRow) -> tuple[str, str] | None:
-        """The quarantine verdict for a degraded row, or ``None`` if clean."""
-        if np.isnan(row.features).any():
-            return "nan", "row carries NaN features"
-        if np.isinf(row.features).any():
-            return "out_of_range", "row carries non-finite features"
-        if not np.isfinite(row.time) or row.time < 0:
-            return "out_of_range", f"window time {row.time} is not a valid instant"
-        if self.times:
-            if row.time == self.times[-1] and row.index <= self._last_index:
-                return "duplicate", f"window at {row.time} was already scored"
-            if row.time < self.times[-1]:
-                return "late", (
-                    f"window at {row.time} arrived after one at {self.times[-1]}"
-                )
-        return None
-
-    def _quarantine(self, row: WindowRow, kind: str, detail: str) -> StreamFault:
-        """Record one quarantined row and notify the hook."""
-        fault = StreamFault(
-            stream="", kind=kind, index=row.index, time=row.time, detail=detail
-        )
-        self.fault_records.append(fault)
-        if self.on_fault is not None:
-            self.on_fault(fault)
-        return fault
+        return len(self._fleet.fault_records)
 
     def consume(self, row: WindowRow) -> Alarm | None:
         """Score one closed window; return the alarm if one fires.
 
         Wire this as the :class:`StreamingExtractor`'s ``on_row`` hook.
+        The row is ingested and the lane sealed just past its time, so
+        it is scored (as a one-row tick batch) before the call returns.
         Under ``row_policy="quarantine"`` a degraded row is recorded on
         ``fault_records`` and *not* scored (returns ``None``).
         """
-        if self.row_policy == "quarantine":
-            verdict = self._classify_row(row)
-            if verdict is not None:
-                self._quarantine(row, *verdict)
-                return None
-        t0 = _time.perf_counter()
-        score = float(
-            self.model.normality_score(row.features[None, :], self.method)[0]
-        )
-        latency = _time.perf_counter() - t0
-        self.times.append(row.time)
-        self.scores.append(score)
-        self.latencies.append(latency)
-        self._last_index = row.index
-        alarming = score < self.threshold
-        verdict = None
-        if self.attribution is not None:
-            # Attribution reads the score and row, never the reverse:
-            # the alarm decision above is already final.
-            verdict = self.attribution.attribute(
-                row.time, score, row.features, alarming
-            )
-        if alarming:
-            alarm = Alarm(
-                index=row.index,
-                time=row.time,
-                score=score,
-                threshold=self.threshold,
-                monitor=self.monitor,
-                latency_s=latency,
-                verdict=verdict,
-            )
-            self.alarms.append(alarm)
-            if self.on_alarm is not None:
-                self.on_alarm(alarm)
-            return alarm
-        return None
+        alarms = self._lane.alarms
+        fired = len(alarms)
+        self._fleet.ingest(_LANE, row)
+        t = float(row.time)
+        if math.isfinite(t):  # an inf time is quarantined; it must not wedge the lane
+            self._fleet.seal(_LANE, math.nextafter(t, math.inf))
+        return alarms[-1] if len(alarms) > fired else None
 
     def result(
         self,
@@ -284,24 +266,8 @@ class OnlineDetector:
         elapsed_s: float = 0.0,
     ) -> StreamResult:
         """Freeze the run into a :class:`StreamResult`."""
-        latencies = np.asarray(self.latencies, dtype=float)
-        return StreamResult(
-            monitor=self.monitor,
-            threshold=self.threshold,
-            method=self.method,
-            times=np.asarray(self.times, dtype=float),
-            scores=np.asarray(self.scores, dtype=float),
-            labels=(
-                np.asarray(labels, dtype=bool)
-                if labels is not None
-                else np.zeros(len(self.scores), dtype=bool)
-            ),
-            alarms=list(self.alarms),
-            windows=len(self.scores),
-            elapsed_s=elapsed_s,
-            mean_latency_s=float(latencies.mean()) if len(latencies) else 0.0,
-            max_latency_s=float(latencies.max()) if len(latencies) else 0.0,
-        )
+        lane_labels = {_LANE: labels} if labels is not None else None
+        return self._fleet.result(lane_labels, elapsed_s).streams[_LANE]
 
     # ------------------------------------------------------------------
     # Durability
@@ -312,17 +278,7 @@ class OnlineDetector:
         The model/threshold/method construction knobs are not captured;
         restore targets a detector built over the same trained model.
         """
-        state = {
-            "times": list(self.times),
-            "scores": list(self.scores),
-            "latencies": list(self.latencies),
-            "alarms": list(self.alarms),
-            "fault_records": list(self.fault_records),
-            "last_index": self._last_index,
-        }
-        if self.attribution is not None:
-            state["attribution"] = self.attribution.snapshot()
-        return state
+        return self._fleet.snapshot()
 
     def restore(self, state: dict) -> None:
         """Adopt a :meth:`snapshot`, replacing all current run state.
@@ -333,11 +289,4 @@ class OnlineDetector:
         restores when both sides have attribution; a snapshot from a
         plain run leaves a fresh attributor empty.
         """
-        self.times = list(state["times"])
-        self.scores = list(state["scores"])
-        self.latencies = list(state["latencies"])
-        self.alarms = list(state["alarms"])
-        self.fault_records = list(state["fault_records"])
-        self._last_index = state["last_index"]
-        if self.attribution is not None and state.get("attribution") is not None:
-            self.attribution.restore(state["attribution"])
+        self._fleet.restore(state)

@@ -2,45 +2,49 @@
 
 A streaming run is long-lived by design — the paper's deployment story
 is an IDS agent that watches a node for hours.  This module makes such
-runs *kill-anywhere durable*: the full mutable state of the streaming
-pipeline (extractor rings and pending tick, detector verdicts, fault
-injector, fleet lane frontiers / tick buckets / watermark) is snapshot
-to disk at deterministic instants, and a process killed at **any** point
-can restore the latest snapshot and replay the remaining events to a
-:class:`~repro.stream.detector.StreamResult` whose scores, alarms and
-fused verdicts are ``np.array_equal`` to the uninterrupted run's
-(asserted by ``tests/stream/test_durability.py`` and re-checked
-in-harness by ``repro bench --suite stream-chaos``).
+runs *kill-anywhere durable*.  Every durable run is a
+:class:`~repro.stream.fleet.FleetDetector` run (watching one node is a
+one-lane fleet), so there is one checkpoint kind, ``"fleet"``, and one
+driver, :func:`run_durable_fleet`.  The full mutable state of the
+pipeline (per-lane extractor rings and pending tick, verdicts, fault
+injector, lane frontiers / tick buckets / watermark) is snapshot to disk
+at deterministic instants, and a process killed at **any** point can
+restore the latest snapshot and replay the remaining events to results
+whose scores, alarms and fused verdicts are ``np.array_equal`` to the
+uninterrupted run's (asserted by ``tests/stream/test_durability.py`` and
+re-checked in-harness by ``repro bench --suite stream-chaos``).
 
 Checkpoint file format (version |version|)::
 
     REPROCKPT1\\n                                   magic
-    {"version": 1, "kind": "...", "fingerprint": "..."}\\n   header (JSON)
+    {"version": 1, "kind": "fleet", "fingerprint": "..."}\\n   header (JSON)
     <pickle bytes>                                 body
 
 The header's ``fingerprint`` is the SHA-256 of the body bytes; any
 corruption or truncation fails the restore **loudly** with a
 :class:`CheckpointError` naming the fingerprint mismatch — a damaged
-checkpoint must never silently restore wrong state.  ``kind`` separates
-single-stream from fleet snapshots so the wrong loader cannot be fooled.
-Files are written with the cache's atomic tmp + fsync + rename helper
+checkpoint must never silently restore wrong state.  ``kind`` is checked
+too, so a file written by anything else is refused.  Files are written
+with the cache's atomic tmp + fsync + rename helper
 (:func:`~repro.runtime.cache.atomic_write_bytes`), so a crash *during* a
 checkpoint write leaves the previous checkpoint intact.
 
-Why replay positions anchor the contract: durable runs are driven over a
-recorded (cached, deterministic) trace via :mod:`repro.stream.replay`,
-whose merged dispatch order is total-ordered and reproducible — so "N
-merged items dispatched" names the same instant in every replay of the
-same trace, and a checkpoint is just (position, state snapshot).
-Snapshots are taken only right after a dispatched sampling tick (the
-tick rides *pending* in the extractor; nothing is half-applied).
+Why replay positions anchor the contract: durable runs are driven over
+recorded (cached, deterministic) traces via
+:class:`~repro.stream.replay.ReplayCursor`, whose merged dispatch order
+is total-ordered and reproducible — so "N merged items dispatched" names
+the same instant in every replay of the same trace, and a checkpoint is
+just (per-lane positions, state snapshot).  The driver advances every
+lane one tick segment per round (with one lane, a round is one sampling
+tick) and snapshots only at round boundaries, right after a dispatched
+tick (the tick rides *pending* in the extractor; nothing is
+half-applied).
 
 Session knobs (``Session.stream_detect`` / ``fleet_detect``)::
 
     checkpoint=PATH          write snapshots to PATH during the run
-    checkpoint_every=N       snapshot cadence, in sampling ticks
-                             (fleet: round-robin rounds); default
-                             DEFAULT_CHECKPOINT_EVERY
+    checkpoint_every=N       snapshot cadence, in lockstep rounds;
+                             default DEFAULT_CHECKPOINT_EVERY
     resume_from=PATH         restore PATH before replaying the remainder
 """
 
@@ -55,13 +59,10 @@ from typing import TYPE_CHECKING, Callable, Mapping
 from repro.runtime.cache import atomic_write_bytes
 from repro.stream.config import DEFAULT_CHECKPOINT_EVERY
 from repro.stream.faults import StreamFaultPlan, apply_checkpoint_fault
-from repro.stream.replay import ReplayCursor, replay_trace
+from repro.stream.replay import ReplayCursor
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.scenario import SimulationTrace
-    from repro.stream.detector import OnlineDetector
-    from repro.stream.extractor import StreamingExtractor
-    from repro.stream.faults import RowFaultInjector
     from repro.stream.fleet import FleetDetector
 
 #: First bytes of every checkpoint file.
@@ -75,8 +76,7 @@ class CheckpointError(RuntimeError):
     """A checkpoint file could not be trusted or understood.
 
     Raised on a missing / unreadable file, a foreign or truncated
-    header, an unsupported format version, a kind mismatch (stream
-    checkpoint fed to the fleet loader or vice versa) and — the one the
+    header, an unsupported format version, a kind mismatch and — the one the
     chaos suite drills — a **fingerprint mismatch**: the body bytes do
     not hash to the header's SHA-256, i.e. the file was corrupted or
     truncated after it was written.
@@ -154,51 +154,7 @@ def read_checkpoint(path: str | Path, kind: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Single-stream snapshots
-# ----------------------------------------------------------------------
-def save_stream_checkpoint(
-    path: str | Path,
-    position: int,
-    extractor: "StreamingExtractor",
-    detector: "OnlineDetector",
-    injector: "RowFaultInjector | None" = None,
-) -> None:
-    """Snapshot one single-stream run at an absolute replay position.
-
-    Captures the extractor's rings + pending tick, the detector's
-    verdicts and the (optional) fault injector's state, keyed by the
-    deterministic merge ``position`` :func:`replay_trace` reported.
-    """
-    write_checkpoint(path, "stream", {
-        "position": int(position),
-        "extractor": extractor.snapshot(),
-        "detector": detector.snapshot(),
-        "injector": injector.snapshot() if injector is not None else None,
-    })
-
-
-def load_stream_checkpoint(
-    path: str | Path,
-    extractor: "StreamingExtractor",
-    detector: "OnlineDetector",
-    injector: "RowFaultInjector | None" = None,
-) -> int:
-    """Restore a single-stream snapshot; return the replay position.
-
-    The extractor / detector (and injector, if the run injects faults)
-    must be freshly built with the original construction knobs; replay
-    the trace with ``skip=<returned position>`` to continue the run.
-    """
-    body = read_checkpoint(path, "stream")
-    extractor.restore(body["extractor"])
-    detector.restore(body["detector"])
-    if injector is not None and body.get("injector") is not None:
-        injector.restore(body["injector"])
-    return int(body["position"])
-
-
-# ----------------------------------------------------------------------
-# Fleet snapshots
+# Snapshots
 # ----------------------------------------------------------------------
 def save_fleet_checkpoint(
     path: str | Path,
@@ -225,80 +181,8 @@ def load_fleet_checkpoint(path: str | Path, fleet: "FleetDetector") -> dict[str,
 
 
 # ----------------------------------------------------------------------
-# Durable run drivers
+# The durable run driver
 # ----------------------------------------------------------------------
-class _Killed(Exception):
-    """Internal: the configured kill point was reached (chaos harness)."""
-
-
-def _maybe_damage_checkpoint(
-    path: str | Path, faults: StreamFaultPlan | None, ordinal: int
-) -> None:
-    """Apply a planned ckpt-corrupt / ckpt-truncate fault before a restore."""
-    if faults is not None:
-        spec = faults.checkpoint_fault(ordinal)
-        if spec is not None:
-            apply_checkpoint_fault(path, spec)
-
-
-def run_durable_stream(
-    trace: "SimulationTrace",
-    tap: "StreamingExtractor",
-    detector: "OnlineDetector",
-    injector: "RowFaultInjector | None" = None,
-    checkpoint: str | Path | None = None,
-    checkpoint_every: int | None = None,
-    resume_from: str | Path | None = None,
-    faults: StreamFaultPlan | None = None,
-    stop_after_ticks: int | None = None,
-    on_checkpoint: Callable[[int], None] | None = None,
-    on_restore: Callable[[int], None] | None = None,
-) -> tuple[int, bool]:
-    """Drive one durable single-stream run over a recorded trace.
-
-    Replays ``trace`` through ``tap`` (whose ``on_row`` feeds
-    ``detector``, optionally through ``injector``), snapshotting to
-    ``checkpoint`` after every ``checkpoint_every``-th dispatched
-    sampling tick.  ``resume_from`` restores a prior snapshot first
-    (applying any planned checkpoint-file fault for restore ordinal 0 —
-    the chaos path) and skips the already-applied prefix.
-
-    ``stop_after_ticks`` is the chaos harness's kill switch: stop
-    abruptly — **without** flushing or checkpointing — after that many
-    ticks of *this* run, as a process kill would.  Returns
-    ``(position, finished)``.
-    """
-    every = DEFAULT_CHECKPOINT_EVERY if checkpoint_every is None else int(checkpoint_every)
-    if every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {every}")
-    skip = 0
-    if resume_from is not None:
-        _maybe_damage_checkpoint(resume_from, faults, 0)
-        skip = load_stream_checkpoint(resume_from, tap, detector, injector)
-        if on_restore is not None:
-            on_restore(skip)
-
-    ticks = 0
-
-    def handle_tick(position: int) -> None:
-        nonlocal ticks
-        ticks += 1
-        if checkpoint is not None and ticks % every == 0:
-            save_stream_checkpoint(checkpoint, position, tap, detector, injector)
-            if on_checkpoint is not None:
-                on_checkpoint(position)
-        if stop_after_ticks is not None and ticks >= stop_after_ticks:
-            raise _Killed(position)
-
-    try:
-        position = replay_trace(trace, tap, skip=skip, on_tick=handle_tick)
-    except _Killed as killed:
-        return int(killed.args[0]), False
-    if injector is not None:
-        injector.flush()  # release a still-held delayed row at stream end
-    return position, True
-
-
 def run_durable_fleet(
     traces: "Mapping[str, SimulationTrace]",
     fleet: "FleetDetector",
@@ -329,7 +213,10 @@ def run_durable_fleet(
         raise ValueError(f"checkpoint_every must be >= 1, got {every}")
     positions: dict[str, int] = {}
     if resume_from is not None:
-        _maybe_damage_checkpoint(resume_from, faults, 0)
+        # The chaos path: a planned ckpt-* fault damages restore ordinal 0.
+        spec = faults.checkpoint_fault(0) if faults is not None else None
+        if spec is not None:
+            apply_checkpoint_fault(resume_from, spec)
         positions = load_fleet_checkpoint(resume_from, fleet)
         if on_restore is not None:
             on_restore(max(positions.values(), default=0))

@@ -27,8 +27,10 @@ Mini-language (comma-separated clauses, mirroring ``--inject-faults``)::
     ckpt-truncate:1         # truncate the checkpoint file at restore 1
 
 Row faults are keyed by the emitted :class:`WindowRow` index; lane
-crashes by the lane's sampling-tick ordinal; checkpoint faults by the
-restore ordinal.  The lane field accepts ``*`` as a wildcard.
+crashes by the lane's sampling-tick ordinal (every tick the tap sees,
+warmup ticks included); checkpoint faults by the restore ordinal.  The
+lane field accepts ``*`` as a wildcard; a single-stream
+``Session.stream_detect`` run names its one lane ``n<monitor>``.
 """
 
 from __future__ import annotations
@@ -211,11 +213,11 @@ def apply_checkpoint_fault(path: str | Path, spec: StreamFaultSpec) -> None:
 class RowFaultInjector:
     """Applies a plan's row faults to one lane's row deliveries.
 
-    Sits between a :class:`~repro.stream.extractor.StreamingExtractor`'s
-    ``on_row`` and the detector: transforms each emitted row per the
-    plan (drop / duplicate / delay / corrupt), and swallows everything
-    once the lane's crash point is reached.  Stateful (the held delayed
-    row, the crashed flag), and checkpointable via :meth:`snapshot` /
+    Sits between a fleet lane's row deliveries and admission and
+    transforms each emitted row per the plan (drop / duplicate / delay /
+    corrupt).  Lane crashes are keyed by sampling tick and handled by
+    the fleet, which stops calling a crashed lane's injector.  Stateful
+    (the held delayed row), and checkpointable via :meth:`snapshot` /
     :meth:`restore` so faults replay identically across a resume.
     """
 
@@ -224,26 +226,14 @@ class RowFaultInjector:
         plan: StreamFaultPlan,
         lane: str,
         deliver: Callable[[WindowRow], None],
-        crash_on_row: bool = True,
     ):
         self.plan = plan
         self.lane = lane
         self.deliver = deliver
-        #: Whether ``crash-lane`` specs key on the emitted row index here
-        #: (single-stream use).  Fleet lanes key crashes on the sampling
-        #: tick instead and set ``crashed`` from the tap.
-        self.crash_on_row = crash_on_row
-        self.crashed = False
         self._held: WindowRow | None = None
 
     def __call__(self, row: WindowRow) -> None:
         """Deliver one emitted row through the fault plan."""
-        if self.crashed or (
-            self.crash_on_row and self.plan.lane_crash(self.lane, row.index)
-        ):
-            self.crashed = True
-            self._held = None
-            return
         spec = self.plan.row_fault(self.lane, row.index)
         kind = spec.kind if spec is not None else None
         if kind == "delay-row":
@@ -265,14 +255,13 @@ class RowFaultInjector:
     def flush(self) -> None:
         """End of stream: release a still-held delayed row."""
         held, self._held = self._held, None
-        if held is not None and not self.crashed:
+        if held is not None:
             self.deliver(held)
 
     def snapshot(self) -> dict:
         """The injector's mutable state (for checkpoints)."""
-        return {"crashed": self.crashed, "held": self._held}
+        return {"held": self._held}
 
     def restore(self, state: dict) -> None:
         """Adopt a :meth:`snapshot`."""
-        self.crashed = state["crashed"]
         self._held = state["held"]

@@ -1,21 +1,24 @@
 """Fleet detection: many monitored streams, one scoring pipeline.
 
-An :class:`OnlineDetector` watches one node; the paper's deployment story
-is an IDS agent on *every* node.  A :class:`FleetDetector` multiplexes N
+The paper's deployment story is an IDS agent on *every* node.  A
+:class:`FleetDetector` multiplexes N
 :class:`~repro.stream.extractor.StreamingExtractor` streams — one per
 monitored node, across one or many concurrent scenarios — into a single
 pipeline: windows closing on the same sampling tick are collected into
 one bucket and scored in **one** vectorized
 :meth:`~repro.core.model.CrossFeatureModel.normality_score` call, instead
-of N separate single-row calls.
+of N separate single-row calls.  Watching one node is the one-lane case:
+:class:`~repro.stream.detector.OnlineDetector` is a thin adapter over a
+fleet with a single externally fed lane, so row policy, quarantine,
+attribution and snapshots exist once, here.
 
-Correctness rests on the PR 4 streaming contract: every step of
+Correctness rests on the streaming contract: every step of
 ``normality_score`` (discretizer transform, frontier-batched tree walk,
 per-row probability pooling) treats rows independently, so scoring the
 ``(N, L)`` tick bucket is bit-identical to N independent ``(1, L)``
-calls — a fleet run reproduces N independent :class:`OnlineDetector`
-runs exactly (asserted by ``tests/stream/test_fleet_equivalence.py`` and
-in the bench harness).
+calls — a fleet run reproduces N independent one-lane runs exactly
+(asserted by ``tests/stream/test_fleet_equivalence.py`` and in the bench
+harness).
 
 Mechanics
 ---------
@@ -123,7 +126,7 @@ class _Lane:
         "name", "scenario", "monitor", "frontier", "done",
         "times", "scores", "latencies", "alarms",
         "crashed", "ticks_seen", "consecutive_faults",
-        "last_time", "last_index", "faults",
+        "last_time", "last_index",
     )
 
     def __init__(self, name: str, scenario: str, monitor: int):
@@ -141,7 +144,6 @@ class _Lane:
         self.consecutive_faults = 0    # quarantine circuit-breaker counter
         self.last_time = float("-inf")  # last admitted row's window end
         self.last_index = -1           # last admitted row's index
-        self.faults: list[StreamFault] = []
 
 
 class FleetStream:
@@ -410,8 +412,7 @@ class FleetDetector:
         """Wrap a fitted batch :class:`CrossFeatureDetector` unchanged.
 
         ``threshold=None`` adopts the detector's calibrated
-        ``threshold_`` (the same rule as
-        :meth:`OnlineDetector.from_detector`).
+        ``threshold_`` (see :func:`~repro.stream.config.resolve_threshold`).
         """
         return cls(
             model=detector.model,
@@ -660,7 +661,6 @@ class FleetDetector:
                 self._fault_plan,
                 lane.name,
                 deliver=lambda row, _lane=lane: self._admit(_lane, row),
-                crash_on_row=False,
             )
 
     def _deliver(self, lane: _Lane, row: WindowRow) -> None:
@@ -674,7 +674,13 @@ class FleetDetector:
             self._admit(lane, row)
 
     def _classify_row(self, lane: _Lane, row: WindowRow) -> tuple[str, str] | None:
-        """The quarantine verdict for a degraded row, or ``None`` if clean."""
+        """The quarantine verdict for a degraded row, or ``None`` if clean.
+
+        Checked in order: NaN features, out-of-range features or time,
+        a re-delivery of the lane's last admitted window (same time, no
+        newer index — a duplicate even once its tick was scored), then a
+        window at or before the finalised watermark (late).
+        """
         t = float(row.time)
         if np.isnan(row.features).any():
             return "nan", "row carries NaN features"
@@ -682,13 +688,13 @@ class FleetDetector:
             return "out_of_range", "row carries non-finite features"
         if not np.isfinite(t) or t < 0:
             return "out_of_range", f"window time {t} is not a valid instant"
+        if t == lane.last_time and row.index <= lane.last_index:
+            return "duplicate", f"window {row.index} at {t} was already delivered"
         if t <= self._finalized_through:
             return "late", (
                 f"window at {t} arrived after its tick was finalised "
                 f"(watermark {self._finalized_through})"
             )
-        if t == lane.last_time and row.index == lane.last_index:
-            return "duplicate", f"window {row.index} at {t} was already delivered"
         return None
 
     def _quarantine(self, lane: _Lane, row: WindowRow, kind: str, detail: str) -> None:
@@ -697,7 +703,6 @@ class FleetDetector:
             stream=lane.name, kind=kind, index=row.index,
             time=float(row.time), detail=detail,
         )
-        lane.faults.append(fault)
         self.fault_records.append(fault)
         if self.on_fault is not None:
             self.on_fault(fault)
@@ -733,7 +738,7 @@ class FleetDetector:
         lane.crashed = True
         injector = self._injectors.get(lane.name)
         if injector is not None:
-            injector.restore({"crashed": True, "held": None})
+            injector.restore({"held": None})  # a held row dies with the lane
 
     def _flush_stream(self, lane: _Lane) -> None:
         """Flush a lane's pending window and any held (delayed) row."""
@@ -902,8 +907,7 @@ class FleetDetector:
         """Freeze the run into a :class:`FleetResult`.
 
         ``labels`` optionally maps lane names to per-window ground
-        truth (lanes without an entry default to all-normal, like
-        :meth:`OnlineDetector.result`).
+        truth (lanes without an entry default to all-normal).
         """
         streams: dict[str, StreamResult] = {}
         for name, lane in self._lanes.items():
@@ -947,7 +951,9 @@ class FleetDetector:
 
         Captures every lane's frontier / verdicts / extractor rings /
         injector state, the unfinalised tick buckets, the heap and the
-        watermark — everything needed to resume a durable run exactly.
+        watermark — everything needed to resume a durable run exactly —
+        plus, under ``"attribution"``, each lane's attributor history
+        when attribution is on.
         Construction knobs (model, threshold, quorum, policy) are not
         captured; restore targets a same-shaped fleet.
         """
@@ -967,18 +973,12 @@ class FleetDetector:
                 "scores": list(lane.scores),
                 "latencies": list(lane.latencies),
                 "alarms": list(lane.alarms),
-                "faults": list(lane.faults),
                 "extractor": (
                     stream._extractor.snapshot() if stream is not None else None
                 ),
                 "injector": injector.snapshot() if injector is not None else None,
-                "attributor": (
-                    self._attributors[name].snapshot()
-                    if name in self._attributors
-                    else None
-                ),
             }
-        return {
+        state = {
             "lanes": lanes,
             "buckets": {
                 t: [(lane.name, row) for lane, row in bucket]
@@ -992,6 +992,12 @@ class FleetDetector:
             "sealed": dict(self.sealed),
             "duplicate_seals": self.duplicate_seals,
         }
+        if self._attributors:
+            state["attribution"] = {
+                name: attributor.snapshot()
+                for name, attributor in self._attributors.items()
+            }
+        return state
 
     def restore(self, state: dict) -> None:
         """Adopt a :meth:`snapshot` taken from a same-shaped fleet.
@@ -1017,16 +1023,12 @@ class FleetDetector:
             lane.scores = list(lane_state["scores"])
             lane.latencies = list(lane_state["latencies"])
             lane.alarms = list(lane_state["alarms"])
-            lane.faults = list(lane_state["faults"])
             stream = self._streams.get(name)
             if stream is not None and lane_state["extractor"] is not None:
                 stream._extractor.restore(lane_state["extractor"])
             injector = self._injectors.get(name)
             if injector is not None and lane_state["injector"] is not None:
                 injector.restore(lane_state["injector"])
-            attributor = self._attributors.get(name)
-            if attributor is not None and lane_state.get("attributor") is not None:
-                attributor.restore(lane_state["attributor"])
         self._buckets = {
             t: [(self._lanes[name], row) for name, row in bucket]
             for t, bucket in state["buckets"].items()
@@ -1038,3 +1040,8 @@ class FleetDetector:
         self.fault_records = list(state["fault_records"])
         self.sealed = dict(state["sealed"])
         self.duplicate_seals = state["duplicate_seals"]
+        # Attribution history restores where both sides carry it; a
+        # snapshot of a plain run leaves fresh attributors empty.
+        for name, attributor_state in state.get("attribution", {}).items():
+            if name in self._attributors:
+                self._attributors[name].restore(attributor_state)

@@ -122,13 +122,11 @@ class TestTopLevelApi:
             "WindowRow",
             "extractor_for_config",
             "load_fleet_checkpoint",
-            "load_stream_checkpoint",
             "needed_votes",
             "read_checkpoint",
             "replay_trace",
             "resolve_threshold",
             "save_fleet_checkpoint",
-            "save_stream_checkpoint",
             "validate_quorum",
             "validate_row_policy",
             "write_checkpoint",

@@ -10,8 +10,9 @@ Two layers of guarantees are drilled here:
 * the **resume contract** — a run killed after *any* tick (Hypothesis
   picks the kill point), restored from its latest checkpoint and
   replayed to completion produces scores / alarms / fused verdicts
-  ``np.array_equal`` to the uninterrupted run, for single streams and
-  for fleets with injected chaos.
+  ``np.array_equal`` to the uninterrupted run — through the one durable
+  driver, for a one-lane fleet (a single stream), several lanes, and
+  fleets with injected chaos.
 """
 
 import numpy as np
@@ -22,20 +23,15 @@ from hypothesis import strategies as st
 from repro.stream import (
     CheckpointError,
     FleetDetector,
-    OnlineDetector,
     StreamFaultPlan,
-    extractor_for_config,
     load_fleet_checkpoint,
-    load_stream_checkpoint,
     read_checkpoint,
-    save_stream_checkpoint,
     write_checkpoint,
 )
 from repro.stream.durability import (
     CHECKPOINT_VERSION,
     MAGIC,
     run_durable_fleet,
-    run_durable_stream,
 )
 from repro.stream.faults import apply_checkpoint_fault
 
@@ -57,23 +53,24 @@ def trace(request):
     return request.getfixturevalue("aodv_udp_trace")
 
 
+def lanes_fleet(trace, threshold, monitors=(0,)):
+    """A plain fleet with one tap-fed lane per monitor."""
+    fleet = FleetDetector(MODEL, threshold)
+    for m in monitors:
+        fleet.add_stream(m, sampling_period=trace.config.sampling_period)
+    return fleet
+
+
 @pytest.fixture(scope="module")
 def threshold(trace):
     """Median first-feature score: roughly half the windows alarm."""
-    online = OnlineDetector(MODEL, threshold=float("-inf"))
-    tap = extractor_for_config(trace.config, on_row=online.consume,
-                               keep_rows=False)
-    run_durable_stream(trace, tap, online)
-    return float(np.median(online.scores))
+    fleet = lanes_fleet(trace, float("-inf"))
+    run_durable_fleet({"s0": trace}, fleet)
+    return float(np.median(fleet.result().streams["s0/n0"].scores))
 
 
-def stream_run(trace, threshold, **kwargs):
-    """One durable single-stream run; returns (detector, position, finished)."""
-    online = OnlineDetector(MODEL, threshold)
-    tap = extractor_for_config(trace.config, on_row=online.consume,
-                               keep_rows=False)
-    position, finished = run_durable_stream(trace, tap, online, **kwargs)
-    return online, position, finished
+def alarm_keys(stream):
+    return [(a.index, a.time, a.score) for a in stream.alarms]
 
 
 # ----------------------------------------------------------------------
@@ -145,105 +142,127 @@ class TestCheckpointFormat:
 
 
 # ----------------------------------------------------------------------
-# Single-stream resume
+# Resume through the one durable driver: one lane, then several
 # ----------------------------------------------------------------------
 class TestStreamResume:
+    """The kill-anywhere contract for a single stream: a one-lane fleet,
+    where one lockstep round is one sampling tick."""
+
+    MONITORS = (0,)
+
+    def run(self, trace, threshold, **kwargs):
+        """One durable run; returns (fleet, positions, finished)."""
+        fleet = lanes_fleet(trace, threshold, self.MONITORS)
+        positions, finished = run_durable_fleet({"s0": trace}, fleet, **kwargs)
+        return fleet, positions, finished
+
+    def assert_identical(self, resumed, clean):
+        got, want = resumed.result().streams, clean.result().streams
+        assert got.keys() == want.keys()
+        for name, stream in want.items():
+            assert np.array_equal(got[name].scores, stream.scores), name
+            assert np.array_equal(got[name].times, stream.times), name
+            assert alarm_keys(got[name]) == alarm_keys(stream), name
+
     def test_kill_and_resume_is_bit_identical(self, trace, threshold, tmp_path):
-        clean, _, finished = stream_run(trace, threshold)
-        assert finished and clean.windows > 10 and clean.alarms
+        clean, _, finished = self.run(trace, threshold)
+        windows = clean.result().streams["s0/n0"].windows
+        assert finished and windows > 10 and clean.result().alarms
 
         ckpt = tmp_path / "s.ckpt"
-        _, _, finished = stream_run(
+        _, _, finished = self.run(
             trace, threshold, checkpoint=ckpt, checkpoint_every=3,
-            stop_after_ticks=clean.windows // 2,
+            stop_after_rounds=windows // 2,
         )
         assert not finished and ckpt.exists()
 
-        resumed, _, finished = stream_run(trace, threshold, resume_from=ckpt)
+        resumed, _, finished = self.run(trace, threshold, resume_from=ckpt)
         assert finished
-        assert np.array_equal(np.asarray(resumed.scores),
-                              np.asarray(clean.scores))
-        assert np.array_equal(np.asarray(resumed.times),
-                              np.asarray(clean.times))
-        assert [(a.index, a.time, a.score) for a in resumed.alarms] == \
-               [(a.index, a.time, a.score) for a in clean.alarms]
+        self.assert_identical(resumed, clean)
 
+    # The multi-lane subclass reruns this property from a second class;
+    # the test keeps no state on ``self`` beyond the class's MONITORS.
     @given(kill_at=st.integers(min_value=1, max_value=28))
     @settings(max_examples=12, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.differing_executors])
     def test_kill_anywhere_resumes_bit_identically(
         self, trace, threshold, tmp_path, kill_at
     ):
-        """The tentpole property: ANY kill tick resumes to the same run."""
-        clean, _, _ = stream_run(trace, threshold)
+        """The tentpole property: ANY kill round resumes to the same run."""
+        clean, _, _ = self.run(trace, threshold)
         ckpt = tmp_path / f"kill{kill_at}.ckpt"
-        _, _, finished = stream_run(
+        _, _, finished = self.run(
             trace, threshold, checkpoint=ckpt, checkpoint_every=2,
-            stop_after_ticks=kill_at,
+            stop_after_rounds=kill_at,
         )
         assert not finished
         if not ckpt.exists():  # killed before the first checkpoint landed
-            resumed, _, _ = stream_run(trace, threshold)
+            resumed, _, _ = self.run(trace, threshold)
         else:
-            resumed, _, finished = stream_run(
-                trace, threshold, resume_from=ckpt
-            )
+            resumed, _, finished = self.run(trace, threshold, resume_from=ckpt)
             assert finished
-        assert np.array_equal(np.asarray(resumed.scores),
-                              np.asarray(clean.scores))
-        assert [a.time for a in resumed.alarms] == \
-               [a.time for a in clean.alarms]
+        self.assert_identical(resumed, clean)
 
     def test_checkpoint_position_resumes_skipping_prefix(
         self, trace, threshold, tmp_path
     ):
         ckpt = tmp_path / "s.ckpt"
-        killed, killed_pos, _ = stream_run(
+        killed, killed_positions, _ = self.run(
             trace, threshold, checkpoint=ckpt, checkpoint_every=4,
-            stop_after_ticks=8,
+            stop_after_rounds=8,
         )
-        online = OnlineDetector(MODEL, threshold)
-        tap = extractor_for_config(trace.config, on_row=online.consume,
-                                   keep_rows=False)
-        position = load_stream_checkpoint(ckpt, tap, online)
-        assert 0 < position <= killed_pos
-        assert online.scores == killed.scores[: len(online.scores)]
+        fresh = lanes_fleet(trace, threshold, self.MONITORS)
+        positions = load_fleet_checkpoint(ckpt, fresh)
+        assert positions.keys() == killed_positions.keys()
+        for name, position in positions.items():
+            assert 0 < position <= killed_positions[name]
+            restored = fresh.result().streams[name].scores
+            assert np.array_equal(
+                restored, killed.result().streams[name].scores[: len(restored)]
+            )
 
     def test_corrupt_checkpoint_fails_loudly(self, trace, threshold, tmp_path):
         ckpt = tmp_path / "s.ckpt"
-        stream_run(trace, threshold, checkpoint=ckpt, checkpoint_every=2,
-                   stop_after_ticks=6)
+        self.run(trace, threshold, checkpoint=ckpt, checkpoint_every=2,
+                 stop_after_rounds=6)
         plan = StreamFaultPlan.parse("ckpt-corrupt:0")
         apply_checkpoint_fault(ckpt, plan.specs[0])
         with pytest.raises(CheckpointError, match="fingerprint mismatch"):
-            stream_run(trace, threshold, resume_from=ckpt)
+            self.run(trace, threshold, resume_from=ckpt)
 
     def test_truncated_checkpoint_fails_loudly(self, trace, threshold, tmp_path):
         ckpt = tmp_path / "s.ckpt"
-        stream_run(trace, threshold, checkpoint=ckpt, checkpoint_every=2,
-                   stop_after_ticks=6)
+        self.run(trace, threshold, checkpoint=ckpt, checkpoint_every=2,
+                 stop_after_rounds=6)
         apply_checkpoint_fault(
             ckpt, StreamFaultPlan.parse("ckpt-truncate:0").specs[0]
         )
         with pytest.raises(CheckpointError, match="fingerprint mismatch"):
-            stream_run(trace, threshold, resume_from=ckpt)
+            self.run(trace, threshold, resume_from=ckpt)
 
     def test_injected_checkpoint_fault_fires_on_restore_ordinal(
         self, trace, threshold, tmp_path
     ):
         """The driver applies ckpt faults itself (the chaos-bench path)."""
         ckpt = tmp_path / "s.ckpt"
-        stream_run(trace, threshold, checkpoint=ckpt, checkpoint_every=2,
-                   stop_after_ticks=6)
+        self.run(trace, threshold, checkpoint=ckpt, checkpoint_every=2,
+                 stop_after_rounds=6)
         with pytest.raises(CheckpointError, match="fingerprint mismatch"):
-            stream_run(
+            self.run(
                 trace, threshold, resume_from=ckpt,
                 faults=StreamFaultPlan.parse("ckpt-corrupt:0"),
             )
 
     def test_checkpoint_every_must_be_positive(self, trace, threshold):
         with pytest.raises(ValueError, match="checkpoint_every"):
-            stream_run(trace, threshold, checkpoint_every=0)
+            self.run(trace, threshold, checkpoint_every=0)
+
+
+class TestMultiLaneResume(TestStreamResume):
+    """The same contract with several lanes advancing in lockstep."""
+
+    MONITORS = (0, 1, 2)
 
 
 # ----------------------------------------------------------------------
@@ -317,17 +336,6 @@ class TestFleetResume:
         other = make_fleet(trace, threshold, monitors=(0, 1))
         with pytest.raises(ValueError, match="registered lanes"):
             load_fleet_checkpoint(ckpt, other)
-
-    def test_stream_checkpoint_rejected_by_fleet_loader(
-        self, trace, threshold, tmp_path
-    ):
-        ckpt = tmp_path / "s.ckpt"
-        online = OnlineDetector(MODEL, threshold)
-        tap = extractor_for_config(trace.config, on_row=online.consume,
-                                   keep_rows=False)
-        save_stream_checkpoint(ckpt, 0, tap, online)
-        with pytest.raises(CheckpointError, match="'stream'"):
-            load_fleet_checkpoint(ckpt, make_fleet(trace, threshold))
 
 
 # ----------------------------------------------------------------------

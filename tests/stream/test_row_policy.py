@@ -1,9 +1,10 @@
 """Degraded-input policies and stream-layer fault injection.
 
-``row_policy="strict"`` is the pre-existing trust-the-extractor
-behaviour; ``"quarantine"`` routes late / duplicate / NaN /
-out-of-range rows into typed :class:`StreamFault` records instead of
-scoring (or raising), trips a consecutive-fault circuit breaker, and
+``row_policy="strict"`` trusts the extractor and raises on a window at
+or before the finalised watermark; ``"quarantine"`` routes late /
+duplicate / NaN / out-of-range rows into typed :class:`StreamFault`
+records instead of scoring (or raising), trips a consecutive-fault
+circuit breaker, and
 lets ``stall_timeout`` seal lanes stuck behind the watermark — so a
 fleet under chaos *completes*, with the damage accounted, rather than
 raising.  The injection side (:class:`StreamFaultPlan` /
@@ -103,6 +104,12 @@ class TestOnlineQuarantine:
         assert det.windows == 2
         assert [f.kind for f in det.fault_records] == ["duplicate", "late"]
 
+    def test_strict_raises_on_row_at_or_before_last_scored(self):
+        det = OnlineDetector(MODEL, 0.5)  # default strict
+        det.consume(row(0, 5.0))
+        with pytest.raises(ValueError, match="finalised"):
+            det.consume(row(1, 5.0))
+
     def test_out_of_range_rows_quarantined(self):
         det = OnlineDetector(MODEL, 0.5, row_policy="quarantine")
         det.consume(WindowRow(index=0, time=5.0, monitor=0,
@@ -111,6 +118,15 @@ class TestOnlineQuarantine:
         assert det.windows == 0
         assert [f.kind for f in det.fault_records] == \
                ["out_of_range", "out_of_range"]
+
+
+    def test_non_finite_time_does_not_stall_the_stream(self):
+        det = OnlineDetector(MODEL, 0.5, row_policy="quarantine")
+        det.consume(row(0, 5.0))
+        det.consume(row(1, float("inf")))
+        det.consume(row(2, 10.0))
+        assert det.times == [5.0, 10.0]
+        assert [f.kind for f in det.fault_records] == ["out_of_range"]
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +160,14 @@ class TestFleetQuarantine:
         assert fleet.windows == 4
         assert [f.kind for f in fleet.fault_records] == ["late"]
         assert fleet.fault_records[0].stream == "n0"
+
+    def test_redelivered_scored_row_is_duplicate_not_late(self):
+        fleet = fleet_with(1, row_policy="quarantine")
+        fleet.ingest("n0", row(0, 5.0))
+        fleet.seal("n0", 6.0)  # the 5.0 tick is finalised and scored
+        fleet.ingest("n0", row(0, 5.0))
+        assert fleet.windows == 1
+        assert [f.kind for f in fleet.fault_records] == ["duplicate"]
 
     def test_ingest_after_finish_quarantines_instead_of_raising(self):
         fleet = fleet_with(1, row_policy="quarantine")
@@ -324,9 +348,19 @@ class TestRowFaultInjector:
         assert [r.index for r in out] == [0, 1]
 
     def test_crash_swallows_rest(self):
-        rows = [row(i, 5.0 * (i + 1)) for i in range(5)]
-        out = self.run_injector("crash-lane:L:2", rows)
-        assert [r.index for r in out] == [0, 1]
+        """``crash-lane`` is keyed by the lane's sampling-tick ordinal:
+        from tick 2 on the tap is silent, so only the window closed by
+        tick 1 scores (tick 1's own window was still pending) and the
+        lane ends sealed as crashed."""
+        fleet = FleetDetector(
+            MODEL, 0.5, faults=StreamFaultPlan.parse("crash-lane:L:2")
+        )
+        tap = fleet.add_stream(0, periods=(5.0,), sampling_period=5.0, name="L")
+        for k in range(5):
+            tap.on_tick(5.0 * (k + 1), speed=0.25)
+        fleet.finish()
+        assert fleet._lanes["L"].times == [5.0]
+        assert fleet.sealed == {"L": "crashed"}
 
     def test_corrupt_row_transform_is_nan_in_feature_zero(self):
         r = corrupt_row(row(0, 5.0))
