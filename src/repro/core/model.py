@@ -33,8 +33,6 @@ Algorithm 3.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,13 +42,14 @@ from repro.core.scoring import average_match_count, average_probability
 from repro.core.threshold import select_threshold
 from repro.ml.base import CategoricalClassifier
 from repro.ml.decision_tree import C45Classifier
+from repro.switches import switch_on
 
 ClassifierFactory = Callable[[], CategoricalClassifier]
 
 
 def _fast_fit_enabled() -> bool:
-    """Shared-pass ensemble training kill switch (``REPRO_FAST_FIT=0``)."""
-    return os.environ.get("REPRO_FAST_FIT", "1") != "0"
+    """Shared-pass ensemble training kill switch (``REPRO_FAST_FIT``)."""
+    return switch_on("REPRO_FAST_FIT")
 
 
 def _keep_indices(n_features: int, targets: Sequence[int]) -> dict[int, np.ndarray]:
@@ -163,12 +162,6 @@ class CrossFeatureModel:
         to these column indices.
     prefilter_fraction, random_state:
         Passed to the discretizer / subset sampling.
-    n_jobs:
-        Worker threads for sub-model training and scoring.  The L
-        sub-model fits (and the L per-sub-model scoring passes) are
-        mutually independent, so they parallelize without affecting
-        results: 1 (default) = serial, ``None``/``0`` = one thread per
-        CPU.  Results are identical for any value.
     """
 
     def __init__(
@@ -179,7 +172,6 @@ class CrossFeatureModel:
         feature_subset: Sequence[int] | None = None,
         prefilter_fraction: float | None = None,
         random_state: int = 0,
-        n_jobs: int | None = 1,
     ):
         self.classifier_factory = classifier_factory
         self.n_buckets = n_buckets
@@ -187,7 +179,6 @@ class CrossFeatureModel:
         self.feature_subset = None if feature_subset is None else list(feature_subset)
         self.prefilter_fraction = prefilter_fraction
         self.random_state = random_state
-        self.n_jobs = n_jobs
 
         self.discretizer: EqualFrequencyDiscretizer | None = None
         self.models_: list[CategoricalClassifier] = []
@@ -238,35 +229,19 @@ class CrossFeatureModel:
         )
         ctx = _SharedFitContext(codes, targets) if shared else None
 
-        def fit_one(i: int) -> CategoricalClassifier:
+        self.models_ = []
+        for i in targets:
             model = self.classifier_factory()
             if ctx is not None:
                 model.fit(ctx.others(i), codes[:, i], root_tables=ctx.root_tables(i))
             else:
                 model.fit(np.delete(codes, i, axis=1), codes[:, i])
-            return model
-
-        # Sub-model fits share nothing (fresh classifier per target, no
-        # common RNG), so threading them is result-identical to the
-        # serial loop; ``map`` preserves target order.
-        jobs = self._effective_jobs(len(targets))
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                self.models_ = list(pool.map(fit_one, targets))
-        else:
-            self.models_ = [fit_one(i) for i in targets]
+            self.models_.append(model)
         self.targets_ = [int(i) for i in targets]
         self._keep_cols = ctx.keep if ctx is not None else _keep_indices(
             codes.shape[1], self.targets_
         )
         return self
-
-    def _effective_jobs(self, n_tasks: int) -> int:
-        """Resolve ``n_jobs`` against the task count and CPU count."""
-        jobs = self.n_jobs
-        if jobs is None or jobs <= 0:
-            jobs = os.cpu_count() or 1
-        return max(1, min(jobs, n_tasks))
 
     def _keep_columns(self, n_features: int) -> dict[int, np.ndarray]:
         """Per-target keep-index gathers (rebuilt lazily, e.g. after unpickling)."""
@@ -293,29 +268,16 @@ class CrossFeatureModel:
         rows = np.arange(n)
         keep = self._keep_columns(codes.shape[1])
 
-        def score_one(m: int) -> None:
-            model, i = self.models_[m], self.targets_[m]
-            others = codes[:, keep[i]]
+        for m, (model, i) in enumerate(zip(self.models_, self.targets_)):
             true = codes[:, i]
-            proba = model.predict_proba(others)
-            predicted = np.argmax(proba, axis=1)
-            matches[:, m] = predicted == true
+            proba = model.predict_proba(codes[:, keep[i]])
+            matches[:, m] = np.argmax(proba, axis=1) == true
             # A bucket the sub-model never saw in normal training data
             # has probability zero by definition: rows start zeroed, and
             # out-of-range buckets can never equal a predicted class, so
             # only in-range rows need a probability written.
             in_range = true < proba.shape[1]
             p_true[in_range, m] = proba[rows[in_range], true[in_range]]
-
-        # Each sub-model writes only its own column, so the passes are
-        # independent and thread-safe; results match the serial loop.
-        jobs = self._effective_jobs(len(self.models_))
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                list(pool.map(score_one, range(len(self.models_))))
-        else:
-            for m in range(len(self.models_)):
-                score_one(m)
         return matches, p_true
 
     def calibrate(self, X_normal: np.ndarray) -> np.ndarray:

@@ -266,27 +266,15 @@ class DetectionResult:
         return recall, precision
 
 
-def run_detection_experiment(
+def _fit_detector(
     bundle: TraceBundle,
-    classifier: str = "c45",
-    method: str = "calibrated_probability",
-    false_alarm_rate: float = 0.02,
-    max_models: int | None = None,
-    n_buckets: int = 5,
-    n_jobs: int | None = 1,
-    stage_hook: Callable[[str, float], None] | None = None,
-) -> DetectionResult:
-    """Train the detector on the bundle's normal traces and evaluate it.
-
-    ``method`` defaults to the reproduction's calibrated scoring (see
-    :mod:`repro.core.model`); pass ``"avg_probability"`` /
-    ``"match_count"`` for the paper's verbatim Algorithms 3 / 2.
-    ``n_jobs`` threads the L independent sub-model fits and scoring
-    passes (``None``/``0`` = one per CPU); results are identical for
-    any value.  ``stage_hook(stage, seconds)`` receives the ``fit`` and
-    ``score`` wall-clocks (the Session routes it into
-    :meth:`RuntimeMetrics.record_stage`).
-    """
+    classifier: str,
+    method: str,
+    false_alarm_rate: float,
+    max_models: int | None,
+    n_buckets: int,
+) -> CrossFeatureDetector:
+    """Train on the bundle's normal traces; calibrate on its held-out trace."""
     if classifier not in CLASSIFIERS:
         raise ValueError(f"unknown classifier {classifier!r}; have {sorted(CLASSIFIERS)}")
     detector = CrossFeatureDetector(
@@ -295,36 +283,29 @@ def run_detection_experiment(
         false_alarm_rate=false_alarm_rate,
         max_models=max_models,
         n_buckets=n_buckets,
-        n_jobs=n_jobs,
     )
-    t0 = time.perf_counter()
-    detector.fit(
+    return detector.fit(
         bundle.train.X,
         feature_names=bundle.train.feature_names,
         calibration_X=bundle.calibration.X,
     )
-    if stage_hook is not None:
-        stage_hook("fit", time.perf_counter() - t0)
 
-    t0 = time.perf_counter()
+
+def _score_detector(
+    bundle: TraceBundle, detector: CrossFeatureDetector, classifier: str
+) -> DetectionResult:
+    """Score a fitted detector over the bundle's evaluation traces."""
     series = []
-    scores_parts, labels_parts = [], []
     for kind, datasets in (("normal", bundle.normal_evals), ("abnormal", bundle.abnormal_evals)):
         for k, ds in enumerate(datasets):
-            s = detector.score(ds.X)
-            series.append((f"{kind}-{k}", ds.times, s, ds.labels))
-            scores_parts.append(s)
-            labels_parts.append(ds.labels)
-    scores = np.concatenate(scores_parts)
-    labels = np.concatenate(labels_parts)
-    if stage_hook is not None:
-        stage_hook("score", time.perf_counter() - t0)
-
+            series.append((f"{kind}-{k}", ds.times, detector.score(ds.X), ds.labels))
+    scores = np.concatenate([s for _, _, s, _ in series])
+    labels = np.concatenate([y for _, _, _, y in series])
     curve = precision_recall_curve(scores, labels)
     return DetectionResult(
         plan=bundle.plan,
         classifier=classifier,
-        method=method,
+        method=detector.method,
         threshold=float(detector.threshold_),
         curve=curve,
         auc=area_above_diagonal(curve),
@@ -333,6 +314,36 @@ def run_detection_experiment(
         labels=labels,
         series=series,
     )
+
+
+def run_detection_experiment(
+    bundle: TraceBundle,
+    classifier: str = "c45",
+    method: str = "calibrated_probability",
+    false_alarm_rate: float = 0.02,
+    max_models: int | None = None,
+    n_buckets: int = 5,
+    stage_hook: Callable[[str, float], None] | None = None,
+) -> DetectionResult:
+    """Train the detector on the bundle's normal traces and evaluate it.
+
+    ``method`` defaults to the reproduction's calibrated scoring (see
+    :mod:`repro.core.model`); pass ``"avg_probability"`` /
+    ``"match_count"`` for the paper's verbatim Algorithms 3 / 2.
+    ``stage_hook(stage, seconds)`` receives the ``fit`` and ``score``
+    wall-clocks.
+    """
+    t0 = time.perf_counter()
+    detector = _fit_detector(
+        bundle, classifier, method, false_alarm_rate, max_models, n_buckets
+    )
+    if stage_hook is not None:
+        stage_hook("fit", time.perf_counter() - t0)
+    t0 = time.perf_counter()
+    result = _score_detector(bundle, detector, classifier)
+    if stage_hook is not None:
+        stage_hook("score", time.perf_counter() - t0)
+    return result
 
 
 # ----------------------------------------------------------------------

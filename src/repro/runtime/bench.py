@@ -24,10 +24,7 @@ by ``python -m repro bench``):
   walk, and ensemble training through the shared-pass vectorized fit
   (pairwise contingency tensor + vectorized split search) against the
   reference per-sub-model loop (``REPRO_FAST_FIT=0``), asserting the
-  fitted trees are structurally identical while timing.  (Thread-based
-  ``fit/n_jobs`` legs were dropped: the sub-model fits are pure-Python
-  tree growth, so threads are GIL-bound and buy nothing — the shared
-  pass is the fix.)
+  fitted trees are structurally identical while timing.
 * :func:`run_fleet_bench` — stream multiplexing.  For N = 1 / 64 / 1024
   monitored streams it times the :class:`~repro.stream.FleetDetector`
   tick-bucket pipeline (one vectorized scoring call per tick across all
@@ -73,10 +70,10 @@ import os
 import platform
 import random
 import time
-from contextlib import contextmanager
-from typing import Iterator
 
 import numpy as np
+
+from repro.switches import forced
 
 
 # ----------------------------------------------------------------------
@@ -102,76 +99,6 @@ def _environment() -> dict:
         "machine": platform.machine(),
         "repro_version": repro.__version__,
     }
-
-
-@contextmanager
-def _spatial_index(enabled: bool) -> Iterator[None]:
-    """Force the medium's spatial-index default for the enclosed block."""
-    prior = os.environ.get("REPRO_SPATIAL_INDEX")
-    os.environ["REPRO_SPATIAL_INDEX"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if prior is None:
-            del os.environ["REPRO_SPATIAL_INDEX"]
-        else:
-            os.environ["REPRO_SPATIAL_INDEX"] = prior
-
-
-@contextmanager
-def _event_batch(enabled: bool) -> Iterator[None]:
-    """Force the kernel's batched-event default for the enclosed block."""
-    prior = os.environ.get("REPRO_EVENT_BATCH")
-    os.environ["REPRO_EVENT_BATCH"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if prior is None:
-            del os.environ["REPRO_EVENT_BATCH"]
-        else:
-            os.environ["REPRO_EVENT_BATCH"] = prior
-
-
-@contextmanager
-def _routing_fast(enabled: bool) -> Iterator[None]:
-    """Force the routing-handler fast-path default for the enclosed block."""
-    prior = os.environ.get("REPRO_ROUTING_FAST")
-    os.environ["REPRO_ROUTING_FAST"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if prior is None:
-            del os.environ["REPRO_ROUTING_FAST"]
-        else:
-            os.environ["REPRO_ROUTING_FAST"] = prior
-
-
-@contextmanager
-def _attribution(enabled: bool) -> Iterator[None]:
-    """Force the stream layer's attribution default for the enclosed block."""
-    prior = os.environ.get("REPRO_ATTRIBUTION")
-    os.environ["REPRO_ATTRIBUTION"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if prior is None:
-            del os.environ["REPRO_ATTRIBUTION"]
-        else:
-            os.environ["REPRO_ATTRIBUTION"] = prior
-
-
-@contextmanager
-def _fast_fit(enabled: bool) -> Iterator[None]:
-    """Force the model layer's fast-fit default for the enclosed block."""
-    prior = os.environ.get("REPRO_FAST_FIT")
-    os.environ["REPRO_FAST_FIT"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if prior is None:
-            del os.environ["REPRO_FAST_FIT"]
-        else:
-            os.environ["REPRO_FAST_FIT"] = prior
 
 
 def write_bench(payload: dict, path: str | os.PathLike) -> None:
@@ -255,8 +182,8 @@ def _scenario_seconds(
         seed=seed,
     )
     best, fingerprint = float("inf"), None
-    with _spatial_index(optimized), _event_batch(optimized), \
-            _routing_fast(optimized):
+    with forced(spatial_index=optimized, event_batch=optimized,
+                routing_fast=optimized):
         for _ in range(repeats):
             t0 = time.perf_counter()
             trace = run_scenario(config)
@@ -291,7 +218,7 @@ def _scenario_profile(
         max_connections=min(40, 2 * n_nodes),
         seed=seed,
     )
-    with _spatial_index(True), _event_batch(True), _routing_fast(True):
+    with forced(spatial_index=True, event_batch=True, routing_fast=True):
         trace, rows = profile_call(run_scenario, config)
     digest = trace_fingerprint(trace)
     if digest != expect_fp:
@@ -542,7 +469,7 @@ def run_model_bench(quick: bool = False, seed: int = 0) -> dict:
         best, fitted = float("inf"), None
         for _ in range(fit_repeats):
             candidate = CrossFeatureModel()
-            with _fast_fit(fast):
+            with forced(fast_fit=fast):
                 t0 = time.perf_counter()
                 candidate.fit(X_fit)
                 best = min(best, time.perf_counter() - t0)
@@ -1027,7 +954,7 @@ def run_attribution_bench(quick: bool = False, seed: int = 41) -> dict:
 
             off, off_s = stream(False)
             on, on_s = stream(True)
-            with _attribution(False):
+            with forced(attribution=False):
                 killed, _ = stream(True)
 
             cell = f"{protocol}/{kind}"

@@ -41,9 +41,10 @@ from repro.eval.experiments import (
     ExperimentPlan,
     RawTraces,
     TraceBundle,
+    _fit_detector,
+    _score_detector,
     extract_bundle,
     plan_sim_key,
-    run_detection_experiment,
 )
 from repro.runtime.cache import ArtifactCache, ResumeJournal, attack_signature
 from repro.runtime.executor import SupervisionPolicy, TraceExecutor, TraceTask
@@ -155,8 +156,8 @@ class Session:
         both the executor and the cache (deterministic chaos testing).
     profile_stages:
         ``True`` wraps every timed pipeline stage (``simulate`` /
-        ``extract`` / ``fit`` / ``stream`` / ``fleet``) in a cProfile
-        and collects one top-N cumulative table per stage on
+        ``extract`` / ``fit`` / ``score`` / ``stream`` / ``fleet``) in a
+        cProfile and collects one top-N cumulative table per stage on
         :attr:`profiler` (a :class:`~repro.runtime.profiling.
         StageProfiler`; ``session.profiler.render()`` prints them).
         ``None`` (default) reads ``$REPRO_PROFILE_STAGES``.
@@ -385,26 +386,22 @@ class Session:
         false_alarm_rate: float = 0.02,
         max_models: int | None = None,
         n_buckets: int = 5,
-        n_jobs: int | None = 1,
     ) -> DetectionResult:
         """Full detection experiment on one plan (memoised per knob set).
 
-        ``n_jobs`` threads the independent sub-model fits and scoring
-        passes; it is deliberately absent from the memoisation key
-        because results are identical for any value.
+        Scores the plan's evaluation traces with :meth:`fitted_detector`,
+        so detecting and then streaming or fleeting the same plan and
+        knob set trains once.
         """
         key = (plan, classifier, method, false_alarm_rate, max_models, n_buckets)
         if key not in self._results:
-            self._results[key] = run_detection_experiment(
-                self.bundle(plan),
-                classifier=classifier,
-                method=method,
-                false_alarm_rate=false_alarm_rate,
-                max_models=max_models,
-                n_buckets=n_buckets,
-                n_jobs=n_jobs,
-                stage_hook=self.metrics.record_stage,
+            detector = self.fitted_detector(
+                plan, classifier, method, false_alarm_rate, max_models, n_buckets
             )
+            with self._stage("score"):
+                self._results[key] = _score_detector(
+                    self.bundle(plan), detector, classifier
+                )
         return self._results[key]
 
     def fitted_detector(
@@ -415,41 +412,21 @@ class Session:
         false_alarm_rate: float = 0.02,
         max_models: int | None = None,
         n_buckets: int = 5,
-        n_jobs: int | None = 1,
     ) -> "CrossFeatureDetector":
         """A trained + calibrated detector for one plan (memoised per knob set).
 
         Trains on the plan's training traces and calibrates the decision
-        threshold on its held-out calibration trace, exactly as
-        :meth:`detect` does — but returns the fitted detector itself, for
-        online deployment (``n_jobs`` is excluded from the memo key;
-        results are identical for any value).
+        threshold on its held-out calibration trace; :meth:`detect`
+        scores this same detector, and online deployment uses it as is.
         """
-        from repro.core.model import CrossFeatureDetector
-        from repro.ml import CLASSIFIERS
-
-        if classifier not in CLASSIFIERS:
-            raise ValueError(
-                f"unknown classifier {classifier!r}; have {sorted(CLASSIFIERS)}"
-            )
         key = (plan, classifier, method, false_alarm_rate, max_models, n_buckets)
         if key not in self._detectors:
             bundle = self.bundle(plan)
-            detector = CrossFeatureDetector(
-                classifier_factory=CLASSIFIERS[classifier],
-                method=method,
-                false_alarm_rate=false_alarm_rate,
-                max_models=max_models,
-                n_buckets=n_buckets,
-                n_jobs=n_jobs,
-            )
             with self._stage("fit"):
-                detector.fit(
-                    bundle.train.X,
-                    feature_names=bundle.train.feature_names,
-                    calibration_X=bundle.calibration.X,
+                self._detectors[key] = _fit_detector(
+                    bundle, classifier, method, false_alarm_rate, max_models,
+                    n_buckets,
                 )
-            self._detectors[key] = detector
         return self._detectors[key]
 
     def stream_detect(
@@ -465,7 +442,6 @@ class Session:
         threshold: float | None = None,
         max_models: int | None = None,
         n_buckets: int = 5,
-        n_jobs: int | None = 1,
         on_alarm: "Callable[[Alarm], None] | None" = None,
         row_policy: str | None = None,
         attribution: bool = False,
@@ -523,7 +499,7 @@ class Session:
             plan, (seed,), (monitor,), single=True, attack=attack, warmup=warmup,
             training=dict(classifier=classifier, method=method,
                           false_alarm_rate=false_alarm_rate, max_models=max_models,
-                          n_buckets=n_buckets, n_jobs=n_jobs),
+                          n_buckets=n_buckets),
             checkpoint=checkpoint, checkpoint_every=checkpoint_every,
             resume_from=resume_from, stream_faults=stream_faults,
             on_alarm=on_alarm, on_fused=None, threshold=threshold,
@@ -546,7 +522,6 @@ class Session:
         quorum: int | float = 1,
         max_models: int | None = None,
         n_buckets: int = 5,
-        n_jobs: int | None = 1,
         on_alarm: "Callable[[Alarm], None] | None" = None,
         on_fused: "Callable[[FleetAlarm], None] | None" = None,
         row_policy: str | None = None,
@@ -632,7 +607,7 @@ class Session:
             warmup=warmup,
             training=dict(classifier=classifier, method=method,
                           false_alarm_rate=false_alarm_rate, max_models=max_models,
-                          n_buckets=n_buckets, n_jobs=n_jobs),
+                          n_buckets=n_buckets),
             checkpoint=checkpoint, checkpoint_every=checkpoint_every,
             resume_from=resume_from, stream_faults=stream_faults,
             on_alarm=on_alarm, on_fused=on_fused, threshold=threshold,

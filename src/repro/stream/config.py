@@ -1,11 +1,11 @@
 """The one place the detector-construction knobs are defined.
 
 Every online-detection constructor — :meth:`OnlineDetector.from_detector`,
-:meth:`FleetDetector.from_detector` / :meth:`FleetDetector.from_session`,
-:meth:`Session.stream_detect` and :meth:`Session.fleet_detect` — accepts
-the same keywords with the same meanings and the same defaults, defined
-here so the surfaces cannot drift apart (``tests/stream/test_fleet.py``
-asserts the symmetry by introspection):
+:meth:`FleetDetector.from_detector`, :meth:`Session.stream_detect` and
+:meth:`Session.fleet_detect` — accepts the same keywords with the same
+meanings and the same defaults, defined here so the surfaces cannot
+drift apart (``tests/stream/test_fleet.py`` asserts the symmetry by
+introspection):
 
 ``threshold`` : float | None
     Decision threshold; a window alarms iff ``score < threshold``.
@@ -59,8 +59,8 @@ asserts the symmetry by introspection):
     (default) waits indefinitely — the historical behaviour.
 
 The detector-training knobs (``classifier`` / ``method`` /
-``false_alarm_rate`` / ``max_models`` / ``n_buckets`` / ``n_jobs``)
-follow :meth:`repro.runtime.Session.fitted_detector` unchanged.
+``false_alarm_rate`` / ``max_models`` / ``n_buckets``) follow
+:meth:`repro.runtime.Session.fitted_detector` unchanged.
 Durable-run knobs (``checkpoint`` / ``checkpoint_every`` /
 ``resume_from``) are documented in :mod:`repro.stream.durability`.
 """

@@ -63,7 +63,7 @@ from __future__ import annotations
 import heapq
 import time as _time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -91,11 +91,6 @@ from repro.stream.config import (
 from repro.stream.detector import Alarm, StreamResult
 from repro.stream.extractor import StreamingExtractor, WindowRow
 from repro.stream.faults import RowFaultInjector, StreamFault, StreamFaultPlan
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.eval.experiments import ExperimentPlan
-    from repro.runtime.session import Session
-
 
 @dataclass(frozen=True)
 class FleetAlarm:
@@ -430,83 +425,6 @@ class FleetDetector:
             on_seal=on_seal,
             attribution=attribution,
         )
-
-    @classmethod
-    def from_session(
-        cls,
-        session: "Session",
-        plan: "ExperimentPlan",
-        monitors: Sequence[int] | None = None,
-        scenarios: int | Sequence[str] = 1,
-        warmup: float | None = None,
-        threshold: float | None = None,
-        quorum: int | float = DEFAULT_QUORUM,
-        classifier: str = "c45",
-        method: str = "calibrated_probability",
-        false_alarm_rate: float = 0.02,
-        max_models: int | None = None,
-        n_buckets: int = 5,
-        n_jobs: int | None = 1,
-        on_alarm: Callable[[Alarm], None] | None = None,
-        on_fused: Callable[[FleetAlarm], None] | None = None,
-        on_batch: Callable[[int, float], None] | None = None,
-        row_policy: str = DEFAULT_ROW_POLICY,
-        max_consecutive_faults: int = DEFAULT_MAX_FAULTS,
-        stall_timeout: float | None = None,
-        faults: StreamFaultPlan | None = None,
-        on_fault: Callable[[StreamFault], None] | None = None,
-        on_seal: Callable[[str, str], None] | None = None,
-        attribution: bool = DEFAULT_ATTRIBUTION,
-    ) -> "FleetDetector":
-        """Train via the session and register one lane per (scenario, monitor).
-
-        Trains (or reuses) the plan's detector through
-        :meth:`Session.fitted_detector` with the usual training knobs,
-        then adds a stream for every monitor of every scenario group:
-        ``monitors=None`` watches every node except the plan's attacker;
-        ``scenarios`` is a group count (named ``"s0"``, ``"s1"``, ...)
-        or explicit group names.  The registered taps are retrieved with
-        :meth:`taps` and fed to ``run_scenario`` / ``replay_trace``.
-        """
-        detector = session.fitted_detector(
-            plan,
-            classifier=classifier,
-            method=method,
-            false_alarm_rate=false_alarm_rate,
-            max_models=max_models,
-            n_buckets=n_buckets,
-            n_jobs=n_jobs,
-        )
-        fleet = cls.from_detector(
-            detector,
-            threshold=threshold,
-            quorum=quorum,
-            on_alarm=on_alarm,
-            on_fused=on_fused,
-            on_batch=on_batch,
-            row_policy=row_policy,
-            max_consecutive_faults=max_consecutive_faults,
-            stall_timeout=stall_timeout,
-            faults=faults,
-            on_fault=on_fault,
-            on_seal=on_seal,
-            attribution=attribution,
-        )
-        if monitors is None:
-            monitors = tuple(m for m in range(plan.n_nodes) if m != plan.attacker)
-        if isinstance(scenarios, int):
-            scenarios = tuple(f"s{k}" for k in range(scenarios))
-        sampling_period = plan.scenario_config(plan.train_seeds[0]).sampling_period
-        for scenario in scenarios:
-            for monitor in monitors:
-                fleet.add_stream(
-                    monitor,
-                    scenario=scenario,
-                    periods=plan.periods,
-                    sampling_period=sampling_period,
-                    warmup=plan.warmup if warmup is None else warmup,
-                )
-        return fleet
 
     # ------------------------------------------------------------------
     # Stream registration
@@ -1003,7 +921,7 @@ class FleetDetector:
         """Adopt a :meth:`snapshot` taken from a same-shaped fleet.
 
         The same lanes must already be registered (same names, via
-        ``add_stream``/``attach``/``from_session`` with the original
+        ``add_stream``/``attach`` with the original
         knobs).  Restored alarms and faults do not re-fire hooks.
         """
         if set(state["lanes"]) != set(self._lanes):

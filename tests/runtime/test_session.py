@@ -259,3 +259,25 @@ class TestJournal:
         assert session.journal is None
         session.bundle(TINY_PLAN)
         assert not (tmp_path / "sweep.journal").exists()
+
+
+class TestOneFitPerPlan:
+    def test_detect_then_deploy_trains_once(self, tmp_path, monkeypatch):
+        """`detect`, `fitted_detector` and `stream_detect` on one plan and
+        knob set share one trained detector."""
+        from repro.core.model import CrossFeatureModel
+
+        fits = []
+        real_fit = CrossFeatureModel.fit
+
+        def counting_fit(self, *args, **kwargs):
+            fits.append(self)
+            return real_fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(CrossFeatureModel, "fit", counting_fit)
+        session = Session(cache_dir=tmp_path)
+        result = session.detect(TINY_PLAN, classifier="nbc")
+        detector = session.fitted_detector(TINY_PLAN, classifier="nbc")
+        stream = session.stream_detect(TINY_PLAN, classifier="nbc")
+        assert len(fits) == 1
+        assert result.threshold == detector.threshold_ == stream.threshold

@@ -112,7 +112,7 @@ class TestOnlineScoring:
         from repro.core.model import CrossFeatureDetector
 
         train = batch_dataset(aodv_udp_trace)
-        detector = CrossFeatureDetector(n_jobs=1)
+        detector = CrossFeatureDetector()
         detector.fit(
             train.X,
             feature_names=train.feature_names,

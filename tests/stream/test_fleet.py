@@ -263,15 +263,13 @@ class TestConstructionSymmetry:
         from repro.runtime.session import Session
 
         for fn in (OnlineDetector.from_detector, FleetDetector.from_detector,
-                   FleetDetector.from_session, Session.stream_detect,
-                   Session.fleet_detect):
+                   Session.stream_detect, Session.fleet_detect):
             assert self.params(fn)["threshold"].default is None, fn
 
     def test_quorum_default_is_shared(self):
         from repro.runtime.session import Session
 
-        for fn in (FleetDetector.from_detector, FleetDetector.from_session,
-                   Session.fleet_detect):
+        for fn in (FleetDetector.from_detector, Session.fleet_detect):
             assert self.params(fn)["quorum"].default == DEFAULT_QUORUM, fn
 
     def test_monitor_and_warmup_defaults_are_shared(self):
@@ -287,17 +285,14 @@ class TestConstructionSymmetry:
         for fn, key in ((Session.stream_detect, "monitor"),
                         (Session.stream_detect, "warmup"),
                         (Session.fleet_detect, "monitors"),
-                        (Session.fleet_detect, "warmup"),
-                        (FleetDetector.from_session, "monitors"),
-                        (FleetDetector.from_session, "warmup")):
+                        (Session.fleet_detect, "warmup")):
             assert self.params(fn)[key].default is None, (fn, key)
 
     def test_attribution_default_is_shared(self):
         from repro.runtime.session import Session
         from repro.stream.config import DEFAULT_ATTRIBUTION
 
-        for fn in (OnlineDetector.from_detector, FleetDetector.from_detector,
-                   FleetDetector.from_session):
+        for fn in (OnlineDetector.from_detector, FleetDetector.from_detector):
             assert self.params(fn)["attribution"].default \
                    is DEFAULT_ATTRIBUTION, fn
         # The Session surfaces share the same (off-by-default) contract.
@@ -308,8 +303,8 @@ class TestConstructionSymmetry:
         from repro.runtime.session import Session
 
         reference = self.params(Session.fitted_detector)
-        for fn in (FleetDetector.from_session, Session.fleet_detect):
+        for fn in (Session.detect, Session.stream_detect, Session.fleet_detect):
             params = self.params(fn)
             for knob in ("classifier", "method", "false_alarm_rate",
-                         "max_models", "n_buckets", "n_jobs"):
+                         "max_models", "n_buckets"):
                 assert params[knob].default == reference[knob].default, (fn, knob)

@@ -24,7 +24,7 @@ def fitted(aodv_udp_trace, dsr_udp_trace):
     from repro.core.model import CrossFeatureDetector
 
     train = extract_features(aodv_udp_trace, monitor=0)
-    detector = CrossFeatureDetector(n_jobs=1)
+    detector = CrossFeatureDetector()
     detector.fit(
         train.X,
         feature_names=train.feature_names,
@@ -152,6 +152,6 @@ class TestSessionFleetDetect:
             assert len(fused.streams) >= fused.needed == 2
 
     def test_default_monitors_exclude_the_attacker(self, plan, session):
-        fleet = FleetDetector.from_session(session, plan)
-        monitors = {stream.monitor for stream in fleet.taps()}
+        result = session.fleet_detect(plan)
+        monitors = {lane.monitor for lane in result.streams.values()}
         assert monitors == set(range(plan.n_nodes)) - {plan.attacker}
